@@ -1,16 +1,27 @@
 #include "src/algos/pagerank.h"
 
-#include "src/engine/scan.h"
+#include "src/algos/dispatch.h"
 #include "src/graph/stats.h"
 #include "src/obs/phase.h"
-#include "src/shard/edge_map_sharded.h"
 #include "src/obs/trace.h"
 #include "src/util/atomics.h"
 #include "src/util/parallel.h"
-#include "src/util/spinlock.h"
 #include "src/util/timer.h"
 
 namespace egraph {
+namespace {
+
+// Push-side rank accumulation: next[dst] += contrib[src].
+struct RankAccumulator {
+  float* next;
+  const float* contrib;
+  void Update(VertexId src, VertexId dst, float /*w*/) { next[dst] += contrib[src]; }
+  void UpdateAtomic(VertexId src, VertexId dst, float /*w*/) {
+    AtomicAdd(&next[dst], contrib[src]);
+  }
+};
+
+}  // namespace
 
 PagerankResult RunPagerank(GraphHandle& handle, const PagerankOptions& options,
                            const RunConfig& config, ExecutionContext& ctx) {
@@ -46,7 +57,6 @@ PagerankResult RunPagerank(GraphHandle& handle, const PagerankOptions& options,
   std::vector<float> rank(n, 1.0f / static_cast<float>(n));
   std::vector<float> contrib(n, 0.0f);
   std::vector<float> next(n, 0.0f);
-  StripedLocks& locks = handle.locks();
   const float base_teleport = (1.0f - options.damping) / static_cast<float>(n);
 
   for (int iter = 0; iter < options.iterations; ++iter) {
@@ -72,93 +82,16 @@ PagerankResult RunPagerank(GraphHandle& handle, const PagerankOptions& options,
       next[v] = 0.0f;
     });
 
-    auto add_locked = [&](VertexId src, VertexId dst, float /*w*/) {
-      SpinlockGuard guard(locks.For(dst));
-      next[dst] += contrib[src];
-    };
-    auto add_atomic = [&](VertexId src, VertexId dst, float /*w*/) {
-      AtomicAdd(&next[dst], contrib[src]);
-    };
-    auto add_plain = [&](VertexId src, VertexId dst, float /*w*/) {
-      next[dst] += contrib[src];
-    };
-
-    switch (config.layout) {
-      case Layout::kAdjacency:
-        if (config.direction == Direction::kPull) {
-          // Gather from in-neighbors; each dst written by one thread.
-          ScanCsrByDestination(handle.in_csr(), config.balance,
-                               [&](VertexId dst, std::span<const VertexId> sources,
-                                   std::span<const float> /*weights*/) {
-                                 float sum = 0.0f;
-                                 for (const VertexId src : sources) {
-                                   sum += contrib[src];
-                                 }
-                                 next[dst] = sum;
-                               });
-        } else if (config.sync == Sync::kLocks) {
-          ScanCsrBySource(handle.out_csr(), config.balance, add_locked);
-        } else {
-          ScanCsrBySource(handle.out_csr(), config.balance, add_atomic);
-        }
-        break;
-      case Layout::kCompressed:
-        if (config.direction == Direction::kPull) {
-          // Gather from compressed in-chunks, decoded in ascending neighbor
-          // order — the same order a sorted plain CSR gathers in, so the
-          // float sums (and thus the ranks) match it bit for bit.
-          ScanCompressedByDestination(handle.compressed_in(), config.balance,
-                                      [&](VertexId dst, auto&& decode) {
-                                        float sum = 0.0f;
-                                        decode([&](VertexId src, float /*w*/) {
-                                          sum += contrib[src];
-                                        });
-                                        next[dst] = sum;
-                                      });
-        } else if (config.sync == Sync::kLocks) {
-          ScanCompressedBySource(handle.compressed_out(), config.balance, add_locked);
-        } else {
-          ScanCompressedBySource(handle.compressed_out(), config.balance, add_atomic);
-        }
-        break;
-      case Layout::kEdgeArray:
-        if (config.sync == Sync::kLocks) {
-          ScanEdgeArray(handle.edges(), add_locked);
-        } else {
-          ScanEdgeArray(handle.edges(), add_atomic);
-        }
-        break;
-      case Layout::kGrid:
-        if (config.sync == Sync::kLockFree) {
-          // Column ownership: all writes to a destination block come from
-          // one thread — plain adds, no locks (paper Fig. 8's winner).
-          ScanGridColumnOwned(handle.grid(), add_plain);
-        } else if (config.sync == Sync::kLocks) {
-          ScanGridRowMajor(handle.grid(), config.balance, add_locked);
-        } else {
-          ScanGridRowMajor(handle.grid(), config.balance, add_atomic);
-        }
-        break;
-      case Layout::kSharded:
-        if (config.direction == Direction::kPull) {
-          // Owner-partitioned gather in the same per-destination order as
-          // the adjacency pull, so the ranks match it bit for bit.
-          ShardScanByDestination(handle.in_csr(), handle.sharded(),
-                                 [&](VertexId dst, std::span<const VertexId> sources,
-                                     std::span<const float> /*weights*/) {
-                                   float sum = 0.0f;
-                                   for (const VertexId src : sources) {
-                                     sum += contrib[src];
-                                   }
-                                   next[dst] = sum;
-                                 });
-        } else {
-          // Shard ownership makes every apply exclusive in both phases —
-          // plain adds, no locks, remote mass rides the aggregation buffers.
-          ShardScanBySource(handle.out_csr(), handle.sharded(), add_plain);
-        }
-        break;
-    }
+    // One gather body serves the adjacency, compressed and sharded pulls:
+    // each visits a destination's in-neighbors in the same order (ascending
+    // on the compressed CSR, hence matching a sorted plain CSR), so their
+    // ranks match bit for bit.
+    RankAccumulator acc{next.data(), contrib.data()};
+    DenseScan(handle, config, acc, [&](VertexId dst, auto&& in_edges) {
+      float sum = 0.0f;
+      in_edges([&](VertexId src, float /*w*/) { sum += contrib[src]; });
+      next[dst] = sum;
+    });
 
     const float teleport = base_teleport + options.damping *
                                                static_cast<float>(dangling) /

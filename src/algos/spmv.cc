@@ -1,12 +1,21 @@
 #include "src/algos/spmv.h"
 
-#include "src/engine/scan.h"
-#include "src/shard/edge_map_sharded.h"
+#include "src/algos/dispatch.h"
 #include "src/util/atomics.h"
-#include "src/util/spinlock.h"
 #include "src/util/timer.h"
 
 namespace egraph {
+namespace {
+
+// Push-side product accumulation: y[dst] += w * x[src].
+struct ProductAccumulator {
+  float* y;
+  const float* x;
+  void Update(VertexId src, VertexId dst, float w) { y[dst] += w * x[src]; }
+  void UpdateAtomic(VertexId src, VertexId dst, float w) { AtomicAdd(&y[dst], w * x[src]); }
+};
+
+}  // namespace
 
 SpmvResult RunSpmv(GraphHandle& handle, const std::vector<float>& x, const RunConfig& config,
                    ExecutionContext& ctx) {
@@ -17,85 +26,14 @@ SpmvResult RunSpmv(GraphHandle& handle, const std::vector<float>& x, const RunCo
   result.y.assign(n, 0.0f);
   float* y = result.y.data();
   const float* xv = x.data();
-  StripedLocks& locks = handle.locks();
 
   Timer total;
-  auto add_locked = [&](VertexId src, VertexId dst, float w) {
-    SpinlockGuard guard(locks.For(dst));
-    y[dst] += w * xv[src];
-  };
-  auto add_atomic = [&](VertexId src, VertexId dst, float w) { AtomicAdd(&y[dst], w * xv[src]); };
-  auto add_plain = [&](VertexId src, VertexId dst, float w) { y[dst] += w * xv[src]; };
-
-  switch (config.layout) {
-    case Layout::kAdjacency:
-      if (config.direction == Direction::kPull) {
-        ScanCsrByDestination(handle.in_csr(),
-                             [&](VertexId dst, std::span<const VertexId> sources,
-                                 std::span<const float> weights) {
-                               float sum = 0.0f;
-                               for (size_t j = 0; j < sources.size(); ++j) {
-                                 const float w = weights.empty() ? 1.0f : weights[j];
-                                 sum += w * xv[sources[j]];
-                               }
-                               y[dst] = sum;
-                             });
-      } else if (config.sync == Sync::kLocks) {
-        ScanCsrBySource(handle.out_csr(), add_locked);
-      } else {
-        ScanCsrBySource(handle.out_csr(), add_atomic);
-      }
-      break;
-    case Layout::kCompressed:
-      if (config.direction == Direction::kPull) {
-        ScanCompressedByDestination(handle.compressed_in(), config.balance,
-                                    [&](VertexId dst, auto&& decode) {
-                                      float sum = 0.0f;
-                                      decode([&](VertexId src, float w) {
-                                        sum += w * xv[src];
-                                      });
-                                      y[dst] = sum;
-                                    });
-      } else if (config.sync == Sync::kLocks) {
-        ScanCompressedBySource(handle.compressed_out(), config.balance, add_locked);
-      } else {
-        ScanCompressedBySource(handle.compressed_out(), config.balance, add_atomic);
-      }
-      break;
-    case Layout::kEdgeArray:
-      if (config.sync == Sync::kLocks) {
-        ScanEdgeArray(handle.edges(), add_locked);
-      } else {
-        ScanEdgeArray(handle.edges(), add_atomic);
-      }
-      break;
-    case Layout::kGrid:
-      if (config.sync == Sync::kLockFree) {
-        ScanGridColumnOwned(handle.grid(), add_plain);
-      } else if (config.sync == Sync::kLocks) {
-        ScanGridRowMajor(handle.grid(), add_locked);
-      } else {
-        ScanGridRowMajor(handle.grid(), add_atomic);
-      }
-      break;
-    case Layout::kSharded:
-      if (config.direction == Direction::kPull) {
-        ShardScanByDestination(handle.in_csr(), handle.sharded(),
-                               [&](VertexId dst, std::span<const VertexId> sources,
-                                   std::span<const float> weights) {
-                                 float sum = 0.0f;
-                                 for (size_t j = 0; j < sources.size(); ++j) {
-                                   const float w = weights.empty() ? 1.0f : weights[j];
-                                   sum += w * xv[sources[j]];
-                                 }
-                                 y[dst] = sum;
-                               });
-      } else {
-        // Ownership makes both phases' adds exclusive: plain stores.
-        ShardScanBySource(handle.out_csr(), handle.sharded(), add_plain);
-      }
-      break;
-  }
+  ProductAccumulator acc{y, xv};
+  DenseScan(handle, config, acc, [&](VertexId dst, auto&& in_edges) {
+    float sum = 0.0f;
+    in_edges([&](VertexId src, float w) { sum += w * xv[src]; });
+    y[dst] = sum;
+  });
   result.stats.iterations = 1;
   result.stats.algorithm_seconds = total.Seconds();
   result.stats.per_iteration_seconds.push_back(result.stats.algorithm_seconds);

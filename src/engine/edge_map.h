@@ -1,6 +1,26 @@
 // EdgeMap: the engine's core primitive. Applies an edge functor over the
-// active frontier, dispatched across the paper's three layouts and three
-// information-flow directions. The functor contract is Ligra-style:
+// active frontier, across the paper's layouts and information-flow
+// directions. Algorithms reach it through one entry point,
+// EdgeMap(handle, config, ctx, frontier, func) in src/algos/dispatch.h: it
+// builds the EdgeMapOptions below from the run's RunConfig, makes the
+// push-pull decision once, dispatches to a layout kernel and reports the
+// direction it used. The kernels it dispatches to:
+//
+//   kernel                input                        direction
+//   EdgeMapCsrPush        out-lists (any NeighborRange)  push, sparse output
+//   EdgeMapCsrPull        in-lists (any NeighborRange)   pull, dense output
+//   EdgeMapShardedPush    sharded out-CSR                push, two-phase
+//   EdgeMapShardedPull    sharded in-CSR                 pull over shard ranges
+//   EdgeMapEdgeArray      edge list                      full edge scan
+//   EdgeMapGrid           grid                           full cell scan
+//
+// The push body (PushActive) and the pull body (PullDestinations) are each
+// written once against the NeighborRange concept (neighbor_range.h), which
+// the plain CSR (through its weight-specialized view) and the compressed CSR
+// both model; the sharded pull runs the same pull body over shard ranges.
+// EdgeMapCsrPushScoped is the serve batch scheduler's partition-slice push.
+//
+// The functor contract is Ligra-style:
 //
 //   struct Functor {
 //     // Attempt src -> dst propagation; return true iff dst's state changed
@@ -24,21 +44,22 @@
 // degree prefix sum, so a power-law hub cannot serialize its chunk). Push
 // even splits a single hub's adjacency list across chunks; pull stays
 // vertex-aligned (one writer per destination) but weights boundaries by
-// in-degree. Chunks dispatch at grain 1 on the work-stealing pool, so
-// residual imbalance is stolen around.
+// the range's cost prefix. Chunks dispatch at grain 1 on the work-stealing
+// pool, so residual imbalance is stolen around.
 #ifndef SRC_ENGINE_EDGE_MAP_H_
 #define SRC_ENGINE_EDGE_MAP_H_
 
 #include <algorithm>
 #include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/engine/edge_map_scratch.h"
 #include "src/engine/frontier.h"
+#include "src/engine/neighbor_range.h"
 #include "src/engine/options.h"
 #include "src/graph/edge_list.h"
-#include "src/layout/csr.h"
 #include "src/layout/grid.h"
 #include "src/obs/metrics.h"
 #include "src/obs/timeline.h"
@@ -84,23 +105,75 @@ inline std::vector<VertexId> ConcatBuffers(std::vector<std::vector<VertexId>>& b
   return out;
 }
 
-// Calls fn(weighted_tag, locks_tag) with compile-time bool tags, hoisting
-// the per-edge "is the graph weighted" / "which sync" branches out of the
-// hot loops into four template instantiations.
+// Sparse round output of a push kernel: the dedup bitmap plus per-worker
+// discovery buffers, borrowed from options.scratch when present and owned
+// otherwise.
+class PushOutput {
+ public:
+  PushOutput(VertexId n, const EdgeMapOptions& options)
+      : n_(n), retain_capacity_(options.scratch != nullptr) {
+    const int workers = ThreadPool::Current().num_threads();
+    if (options.scratch != nullptr) {
+      next_ = &options.scratch->RoundBitmap(n);
+      buffers_ = &options.scratch->WorkerBuffers(workers);
+    } else {
+      owned_next_.Resize(static_cast<int64_t>(n));
+      owned_buffers_.resize(static_cast<size_t>(workers));
+    }
+  }
+
+  PushOutput(const PushOutput&) = delete;
+  PushOutput& operator=(const PushOutput&) = delete;
+
+  Bitmap& next() { return *next_; }
+  std::vector<std::vector<VertexId>>& buffers() { return *buffers_; }
+
+  Frontier Finish() {
+    return Frontier::FromVector(n_, ConcatBuffers(*buffers_, retain_capacity_));
+  }
+
+ private:
+  VertexId n_;
+  bool retain_capacity_;
+  Bitmap owned_next_;
+  std::vector<std::vector<VertexId>> owned_buffers_;
+  Bitmap* next_ = &owned_next_;
+  std::vector<std::vector<VertexId>>* buffers_ = &owned_buffers_;
+};
+
+// Dense round output of a pull or full-scan kernel: the next-frontier
+// bitmap (its ownership moves into the result, so scratch cannot serve it)
+// plus per-worker discovery counts.
+class DenseOutput {
+ public:
+  explicit DenseOutput(VertexId n)
+      : n_(n), next_(n), counts_(static_cast<size_t>(ThreadPool::Current().num_threads()), 0) {}
+
+  Bitmap& next() { return next_; }
+  void Add(int worker, int64_t discovered) { counts_[static_cast<size_t>(worker)] += discovered; }
+
+  Frontier Finish() {
+    int64_t total = 0;
+    for (const int64_t c : counts_) {
+      total += c;
+    }
+    return Frontier::FromBitmap(n_, std::move(next_), total);
+  }
+
+ private:
+  VertexId n_;
+  Bitmap next_;
+  std::vector<int64_t> counts_;
+};
+
+// Calls fn(locks_tag) with a compile-time bool tag for Sync::kLocks,
+// hoisting the per-edge sync branch out of the push loops.
 template <typename Fn>
-void DispatchBools(bool first, bool second, Fn&& fn) {
-  if (first) {
-    if (second) {
-      fn(std::true_type{}, std::true_type{});
-    } else {
-      fn(std::true_type{}, std::false_type{});
-    }
+void WithLocksTag(const EdgeMapOptions& options, Fn&& fn) {
+  if (options.sync == Sync::kLocks) {
+    fn(std::true_type{});
   } else {
-    if (second) {
-      fn(std::false_type{}, std::true_type{});
-    } else {
-      fn(std::false_type{}, std::false_type{});
-    }
+    fn(std::false_type{});
   }
 }
 
@@ -108,18 +181,14 @@ void DispatchBools(bool first, bool second, Fn&& fn) {
 // sub-range, not always the full list: the edge-balanced partitioner splits
 // hub adjacency lists across chunks, and the shared round bitmap keeps the
 // output deduplicated regardless of which chunk wins a destination.
-template <bool kWeighted, bool kUseLocks, typename F>
-inline void PushSlice(const Csr& out, VertexId src, size_t j_lo, size_t j_hi, F& func,
+template <bool kUseLocks, NeighborRange Range, typename F>
+inline void PushSlice(const Range& out, VertexId src, uint64_t j_lo, uint64_t j_hi, F& func,
                       StripedLocks* locks, Bitmap& next, std::vector<VertexId>& buffer,
                       int64_t& relaxed) {
-  const auto neighbors = out.Neighbors(src);
-  const auto weights = out.Weights(src);
-  for (size_t j = j_lo; j < j_hi; ++j) {
-    const VertexId dst = neighbors[j];
+  out.ForEachNeighborSlice(src, j_lo, j_hi, [&](VertexId dst, float w) {
     if (!func.Cond(dst)) {
-      continue;
+      return;
     }
-    const float w = kWeighted ? weights[j] : 1.0f;
     bool updated;
     if constexpr (kUseLocks) {
       SpinlockGuard guard(locks->For(dst));
@@ -133,7 +202,7 @@ inline void PushSlice(const Csr& out, VertexId src, size_t j_lo, size_t j_hi, F&
         buffer.push_back(dst);
       }
     }
-  }
+  });
 }
 
 // Core of the push kernel: relaxes the out-edges of `active` under the
@@ -141,251 +210,222 @@ inline void PushSlice(const Csr& out, VertexId src, size_t j_lo, size_t j_hi, F&
 // per-worker `buffers`. Shared by EdgeMapCsrPush (which owns the round
 // bitmap) and EdgeMapCsrPushScoped (where the caller owns it across several
 // calls in one round).
-template <typename F>
-void PushActive(const Csr& out, std::span<const VertexId> active, F& func,
+template <NeighborRange Range, typename F>
+void PushActive(const Range& out, std::span<const VertexId> active, F& func,
                 const EdgeMapOptions& options, Bitmap& next,
                 std::vector<std::vector<VertexId>>& buffers) {
   const int64_t m = static_cast<int64_t>(active.size());
   obs::EngineCounters& metrics = obs::EngineCounters::Get();
-  DispatchBools(
-      out.has_weights(), options.sync == Sync::kLocks, [&](auto wtag, auto ltag) {
-        constexpr bool kWeighted = decltype(wtag)::value;
-        constexpr bool kUseLocks = decltype(ltag)::value;
-        if (options.balance == Balance::kEdge) {
-          std::vector<uint64_t> local_prefix;
-          std::vector<uint64_t>& prefix =
-              options.scratch != nullptr ? options.scratch->PrefixStorage() : local_prefix;
-          prefix.resize(static_cast<size_t>(m));
-          ParallelFor(0, m, [&](int64_t i) {
-            prefix[static_cast<size_t>(i)] = out.Degree(active[static_cast<size_t>(i)]);
-          });
-          const uint64_t total = ParallelExclusiveScan(prefix);
-          const int64_t num_chunks = BalancedChunkCount(total, kEdgeMapMinChunkCost);
-          const uint64_t target =
-              (total + static_cast<uint64_t>(num_chunks) - 1) / static_cast<uint64_t>(num_chunks);
-          ParallelForChunks(
-              0, num_chunks, /*grain=*/1, [&](int64_t chunk_lo, int64_t chunk_hi, int worker) {
-                auto& buffer = buffers[static_cast<size_t>(worker)];
-                for (int64_t c = chunk_lo; c < chunk_hi; ++c) {
-                  const uint64_t p0 = static_cast<uint64_t>(c) * target;
-                  const uint64_t p1 = std::min<uint64_t>(p0 + target, total);
-                  if (p0 >= p1) {
-                    continue;
-                  }
-                  obs::TimelineSpan chunk_span("engine", "edgemap.chunk",
-                                               static_cast<int64_t>(p1 - p0));
-                  // Vertex containing position p0: last i with prefix[i] <= p0
-                  // (skips any zero-degree plateau ending at p0).
-                  int64_t i =
-                      std::upper_bound(prefix.begin(), prefix.end(), p0) - prefix.begin() - 1;
-                  uint64_t pos = p0;
-                  int64_t relaxed = 0;
-                  while (pos < p1) {
-                    const VertexId src = active[static_cast<size_t>(i)];
-                    const uint64_t base = prefix[static_cast<size_t>(i)];
-                    const uint64_t degree = out.Degree(src);
-                    const size_t j_lo = static_cast<size_t>(pos - base);
-                    const size_t j_hi = static_cast<size_t>(std::min<uint64_t>(degree, p1 - base));
-                    if (j_lo < j_hi) {
-                      PushSlice<kWeighted, kUseLocks>(out, src, j_lo, j_hi, func, options.locks,
-                                                      next, buffer, relaxed);
-                    }
-                    pos = base + j_hi;
-                    ++i;
-                  }
-                  metrics.edges_scanned.Add(static_cast<int64_t>(p1 - p0));
-                  metrics.edges_relaxed.Add(relaxed);
-                }
-              });
-        } else {
-          ParallelForChunks(
-              0, m, /*grain=*/64, [&](int64_t lo, int64_t hi, int worker) {
-                auto& buffer = buffers[static_cast<size_t>(worker)];
-                const uint64_t span_start = obs::TimelineNow();
-                int64_t scanned = 0;
-                int64_t relaxed = 0;
-                for (int64_t i = lo; i < hi; ++i) {
-                  const VertexId src = active[static_cast<size_t>(i)];
-                  const size_t degree = out.Degree(src);
-                  PushSlice<kWeighted, kUseLocks>(out, src, 0, degree, func, options.locks, next,
-                                                  buffer, relaxed);
-                  scanned += static_cast<int64_t>(degree);
-                }
-                metrics.edges_scanned.Add(scanned);
-                metrics.edges_relaxed.Add(relaxed);
-                obs::TimelineEndSpan("engine", "edgemap.chunk", span_start, scanned);
-              });
-        }
+  WithLocksTag(options, [&](auto ltag) {
+    constexpr bool kUseLocks = decltype(ltag)::value;
+    if (options.balance == Balance::kEdge) {
+      std::vector<uint64_t> local_prefix;
+      std::vector<uint64_t>& prefix =
+          options.scratch != nullptr ? options.scratch->PrefixStorage() : local_prefix;
+      prefix.resize(static_cast<size_t>(m));
+      ParallelFor(0, m, [&](int64_t i) {
+        prefix[static_cast<size_t>(i)] = out.Degree(active[static_cast<size_t>(i)]);
       });
+      const uint64_t total = ParallelExclusiveScan(prefix);
+      const int64_t num_chunks = BalancedChunkCount(total, kEdgeMapMinChunkCost);
+      const uint64_t target =
+          (total + static_cast<uint64_t>(num_chunks) - 1) / static_cast<uint64_t>(num_chunks);
+      ParallelForChunks(
+          0, num_chunks, /*grain=*/1, [&](int64_t chunk_lo, int64_t chunk_hi, int worker) {
+            auto& buffer = buffers[static_cast<size_t>(worker)];
+            for (int64_t c = chunk_lo; c < chunk_hi; ++c) {
+              const uint64_t p0 = static_cast<uint64_t>(c) * target;
+              const uint64_t p1 = std::min<uint64_t>(p0 + target, total);
+              if (p0 >= p1) {
+                continue;
+              }
+              obs::TimelineSpan chunk_span("engine", "edgemap.chunk",
+                                           static_cast<int64_t>(p1 - p0));
+              // Vertex containing position p0: last i with prefix[i] <= p0
+              // (skips any zero-degree plateau ending at p0).
+              int64_t i =
+                  std::upper_bound(prefix.begin(), prefix.end(), p0) - prefix.begin() - 1;
+              uint64_t pos = p0;
+              int64_t relaxed = 0;
+              while (pos < p1) {
+                const VertexId src = active[static_cast<size_t>(i)];
+                const uint64_t base = prefix[static_cast<size_t>(i)];
+                const uint64_t degree = out.Degree(src);
+                const uint64_t j_lo = pos - base;
+                const uint64_t j_hi = std::min<uint64_t>(degree, p1 - base);
+                if (j_lo < j_hi) {
+                  PushSlice<kUseLocks>(out, src, j_lo, j_hi, func, options.locks, next, buffer,
+                                       relaxed);
+                }
+                pos = base + j_hi;
+                ++i;
+              }
+              metrics.edges_scanned.Add(static_cast<int64_t>(p1 - p0));
+              metrics.edges_relaxed.Add(relaxed);
+            }
+          });
+    } else {
+      ParallelForChunks(0, m, /*grain=*/64, [&](int64_t lo, int64_t hi, int worker) {
+        auto& buffer = buffers[static_cast<size_t>(worker)];
+        const uint64_t span_start = obs::TimelineNow();
+        int64_t scanned = 0;
+        int64_t relaxed = 0;
+        for (int64_t i = lo; i < hi; ++i) {
+          const VertexId src = active[static_cast<size_t>(i)];
+          const uint64_t degree = out.Degree(src);
+          PushSlice<kUseLocks>(out, src, 0, degree, func, options.locks, next, buffer, relaxed);
+          scanned += static_cast<int64_t>(degree);
+        }
+        metrics.edges_scanned.Add(scanned);
+        metrics.edges_relaxed.Add(relaxed);
+        obs::TimelineEndSpan("engine", "edgemap.chunk", span_start, scanned);
+      });
+    }
+  });
+}
+
+// What one pull chunk did: destinations that joined the next frontier,
+// in-edges probed, successful updates.
+struct PullTally {
+  int64_t discovered = 0;
+  int64_t scanned = 0;
+  int64_t relaxed = 0;
+};
+
+// Core of the pull kernels: gathers every destination in [lo, hi) that
+// satisfies Cond from its in-neighbors present in the frontier, and stops a
+// destination early once Cond turns false (paper section 6.1.1: "the pull
+// approach allows stopping the computation for a vertex in the middle of an
+// iteration"). The frontier membership test is word-batched: one bitmap
+// word load covers up to 64 consecutive sources (sorted adjacency makes
+// consecutive hits the common case). Each destination has one writer, so
+// plain Update suffices.
+template <NeighborRange Range, typename F>
+PullTally PullDestinations(const Range& in, const Bitmap& active_bits, F& func, int64_t lo,
+                           int64_t hi, Bitmap& next) {
+  int64_t discovered = 0;
+  int64_t scanned = 0;
+  int64_t relaxed = 0;
+  int64_t cached_word_index = -1;
+  uint64_t cached_word = 0;
+  for (int64_t v = lo; v < hi; ++v) {
+    const VertexId dst = static_cast<VertexId>(v);
+    if (!func.Cond(dst)) {
+      continue;
+    }
+    bool updated = false;
+    in.ForEachNeighborWhile(dst, [&](VertexId src, float w) {
+      ++scanned;
+      const int64_t word_index = static_cast<int64_t>(src >> 6);
+      if (word_index != cached_word_index) {
+        cached_word_index = word_index;
+        cached_word = active_bits.Word(word_index);
+      }
+      if (((cached_word >> (src & 63)) & 1ULL) == 0) {
+        return true;
+      }
+      if (func.Update(src, dst, w)) {
+        updated = true;
+        ++relaxed;
+      }
+      return func.Cond(dst);  // false: dst is done for this round
+    });
+    if (updated) {
+      next.Set(v);
+      ++discovered;
+    }
+  }
+  return {discovered, scanned, relaxed};
+}
+
+// One timed pull chunk over destinations [lo, hi): runs the shared pull
+// body, records the worker's discoveries and publishes the edge counters.
+template <NeighborRange Range, typename F>
+PullTally PullChunk(const Range& in, const Bitmap& active_bits, F& func, int64_t lo, int64_t hi,
+                    int worker, DenseOutput& output) {
+  obs::EngineCounters& metrics = obs::EngineCounters::Get();
+  const uint64_t span_start = obs::TimelineNow();
+  const PullTally tally = PullDestinations(in, active_bits, func, lo, hi, output.next());
+  output.Add(worker, tally.discovered);
+  metrics.edges_scanned.Add(tally.scanned);
+  metrics.edges_relaxed.Add(tally.relaxed);
+  obs::TimelineEndSpan("engine", "edgemap.chunk", span_start, tally.scanned);
+  return tally;
 }
 
 }  // namespace edge_map_internal
 
-// --- Adjacency list, push (paper: enables working on the active subset) ----
+// --- CSR push (paper: enables working on the active subset) ----------------
 //
-// Sync::kAtomics uses Functor::UpdateAtomic; Sync::kLocks wraps plain Update
-// in a striped spinlock keyed by dst (`options.locks` must outlive the
-// call). Returns a sparse next frontier (deduplicated via a round bitmap).
+// `out` is a Csr or a CompressedCsr. Sync::kAtomics uses
+// Functor::UpdateAtomic; Sync::kLocks wraps plain Update in a striped
+// spinlock keyed by dst (`options.locks` must outlive the call). Returns a
+// sparse next frontier (deduplicated via a round bitmap).
 //
 // Balance::kEdge partitions the frontier's concatenated adjacency *edge
 // positions* [0, sum of active degrees): an exclusive prefix sum over active
 // degrees maps a position range to (vertex, neighbor sub-range) pairs, so a
-// mega-hub's list is split across as many chunks as its degree warrants.
-template <typename F>
-Frontier EdgeMapCsrPush(const Csr& out, Frontier& frontier, F& func,
+// mega-hub's list is split across as many chunks as its degree warrants. On
+// the compressed layout a range landing mid-hub decodes at most one partial
+// chunk of skipped prefix.
+template <typename Graph, typename F>
+Frontier EdgeMapCsrPush(const Graph& out, Frontier& frontier, F& func,
                         const EdgeMapOptions& options) {
-  const VertexId n = out.num_vertices();
   frontier.EnsureSparse();
   const auto& active = frontier.Vertices();
-  const int64_t m = static_cast<int64_t>(active.size());
+  obs::EngineCounters::Get().edgemap_calls.Add(1);
+  obs::TimelineSpan timeline_span("engine", "edgemap.push", static_cast<int64_t>(active.size()));
 
-  obs::EngineCounters& metrics = obs::EngineCounters::Get();
-  metrics.edgemap_calls.Add(1);
-  obs::TimelineSpan timeline_span("engine", "edgemap.push", m);
-
-  const int workers = ThreadPool::Current().num_threads();
-  Bitmap local_next;
-  std::vector<std::vector<VertexId>> local_buffers;
-  Bitmap* next_ptr;
-  std::vector<std::vector<VertexId>>* buffers_ptr;
-  if (options.scratch != nullptr) {
-    next_ptr = &options.scratch->RoundBitmap(n);
-    buffers_ptr = &options.scratch->WorkerBuffers(workers);
-  } else {
-    local_next.Resize(static_cast<int64_t>(n));
-    local_buffers.resize(static_cast<size_t>(workers));
-    next_ptr = &local_next;
-    buffers_ptr = &local_buffers;
-  }
-  Bitmap& next = *next_ptr;
-  std::vector<std::vector<VertexId>>& buffers = *buffers_ptr;
-
-  edge_map_internal::PushActive(out, std::span<const VertexId>(active), func, options, next,
-                                buffers);
-
-  return Frontier::FromVector(
-      n, edge_map_internal::ConcatBuffers(buffers, /*retain_capacity=*/options.scratch != nullptr));
+  edge_map_internal::PushOutput output(out.num_vertices(), options);
+  WithNeighbors(out, [&](const auto& range) {
+    edge_map_internal::PushActive(range, std::span<const VertexId>(active), func, options,
+                                  output.next(), output.buffers());
+  });
+  return output.Finish();
 }
 
-// --- Adjacency list, pull (lock-free: each dst is written by one thread) ---
+// --- CSR pull (lock-free: each dst is written by one thread) ---------------
 //
-// Scans every vertex satisfying Cond, gathers from in-neighbors present in
-// the frontier, and stops early once Cond(dst) turns false (paper section
-// 6.1.1: "the pull approach allows stopping the computation for a vertex in
-// the middle of an iteration").
-//
-// Balance::kEdge keeps chunks vertex-aligned (each destination has exactly
-// one writer) but picks the boundaries from the in-CSR offsets array —
-// cost(v) = in-degree(v) + 1, the +1 charging the Cond probe so runs of
-// zero-degree vertices still count as work. The dense-frontier membership
-// test is word-batched: one bitmap word load covers up to 64 consecutive
-// sources (sorted adjacency makes consecutive hits the common case).
-template <typename F>
-Frontier EdgeMapCsrPull(const Csr& in, Frontier& frontier, F& func,
+// `in` is a Csr or a CompressedCsr. Balance::kEdge keeps chunks
+// vertex-aligned (each destination has exactly one writer) but picks the
+// boundaries from the range's cost prefix — cost(v) = in-degree(v) + 1 on
+// the plain CSR, encoded-bytes(v) + 1 on the compressed one.
+template <typename Graph, typename F>
+Frontier EdgeMapCsrPull(const Graph& in, Frontier& frontier, F& func,
                         const EdgeMapOptions& options) {
   const VertexId n = in.num_vertices();
   frontier.EnsureDense();
-
-  obs::EngineCounters& metrics = obs::EngineCounters::Get();
-  metrics.edgemap_calls.Add(1);
+  obs::EngineCounters::Get().edgemap_calls.Add(1);
   obs::TimelineSpan timeline_span("engine", "edgemap.pull", frontier.Count());
 
-  Bitmap next(n);  // ownership moves into the result; scratch cannot serve it
-  const int workers = ThreadPool::Current().num_threads();
-  std::vector<int64_t> counts(static_cast<size_t>(workers), 0);
+  edge_map_internal::DenseOutput output(n);
   const Bitmap& active_bits = frontier.bitmap();
-
-  auto run = [&](auto wtag) {
-    constexpr bool kWeighted = decltype(wtag)::value;
+  WithNeighbors(in, [&](const auto& range) {
     auto chunk_body = [&](int64_t lo, int64_t hi, int worker) {
-      const uint64_t span_start = obs::TimelineNow();
-      int64_t local = 0;
-      int64_t scanned = 0;
-      int64_t relaxed = 0;
-      int64_t cached_word_index = -1;
-      uint64_t cached_word = 0;
-      for (int64_t v = lo; v < hi; ++v) {
-        const VertexId dst = static_cast<VertexId>(v);
-        if (!func.Cond(dst)) {
-          continue;
-        }
-        const auto neighbors = in.Neighbors(dst);
-        const auto weights = in.Weights(dst);
-        bool updated = false;
-        for (size_t j = 0; j < neighbors.size(); ++j) {
-          const VertexId src = neighbors[j];
-          ++scanned;
-          const int64_t word_index = static_cast<int64_t>(src >> 6);
-          if (word_index != cached_word_index) {
-            cached_word_index = word_index;
-            cached_word = active_bits.Word(word_index);
-          }
-          if (((cached_word >> (src & 63)) & 1ULL) == 0) {
-            continue;
-          }
-          const float w = kWeighted ? weights[j] : 1.0f;
-          if (func.Update(src, dst, w)) {
-            updated = true;
-            ++relaxed;
-          }
-          if (!func.Cond(dst)) {
-            break;  // early exit: dst is done for this round
-          }
-        }
-        if (updated) {
-          next.Set(v);
-          ++local;
-        }
-      }
-      counts[static_cast<size_t>(worker)] += local;
-      metrics.edges_scanned.Add(scanned);
-      metrics.edges_relaxed.Add(relaxed);
-      obs::TimelineEndSpan("engine", "edgemap.chunk", span_start, scanned);
+      edge_map_internal::PullChunk(range, active_bits, func, lo, hi, worker, output);
     };
     if (options.balance == Balance::kEdge) {
-      const auto& offsets = in.offsets();
-      const uint64_t total = static_cast<uint64_t>(in.num_edges()) + static_cast<uint64_t>(n);
-      const int64_t num_chunks = BalancedChunkCount(total, kEdgeMapMinChunkCost);
-      const std::vector<int64_t> bounds = BalancedChunkBoundaries(
-          static_cast<int64_t>(n), num_chunks, [&offsets](int64_t v) {
-            return static_cast<uint64_t>(offsets[static_cast<size_t>(v)]) +
-                   static_cast<uint64_t>(v);
-          });
-      ParallelForBalancedChunks(bounds, chunk_body);
+      ParallelForBalancedChunks(CostBalancedBounds(range, kEdgeMapMinChunkCost), chunk_body);
     } else {
       ParallelForChunks(0, static_cast<int64_t>(n), /*grain=*/256, chunk_body);
     }
-  };
-  if (in.has_weights()) {
-    run(std::true_type{});
-  } else {
-    run(std::false_type{});
-  }
-
-  int64_t total = 0;
-  for (const int64_t c : counts) {
-    total += c;
-  }
-  return Frontier::FromBitmap(n, std::move(next), total);
+  });
+  return output.Finish();
 }
 
-// --- Partition-scoped kernels (serve-layer batch scheduler) ----------------
+// --- Partition-scoped push (serve-layer batch scheduler) -------------------
 //
 // The fork-processing batch scheduler drains one LLC-sized partition across
-// all in-flight queries before advancing, so it needs EdgeMap entry points
-// that (a) take an explicit active-vertex slice instead of a whole Frontier
-// and (b) share the round's dedup state across several calls: one query's
-// round touches many partitions, and a destination relaxed from two
-// partitions must still enter the next frontier exactly once.
-
-// Push over `active` (a per-partition slice of one query's frontier) with a
-// caller-owned dedup bitmap. The bitmap is NOT cleared here — the caller
-// clears it once per query round, after all partitions have run. Newly
-// discovered destinations are appended to `discovered`. Called from inside a
-// parallel region (the scheduler's (query, partition) task loop) the whole
-// slice runs serially on the calling worker, matching the thread pool's
-// nested-call contract; at top level it uses the same balanced machinery as
-// EdgeMapCsrPush.
+// all in-flight queries before advancing, so it pushes over `active` (a
+// per-partition slice of one query's frontier) with a caller-owned dedup
+// bitmap shared across the partitions of one query round: a destination
+// relaxed from two partitions still enters the next frontier exactly once.
+// The bitmap is NOT cleared here — the caller clears it once per query
+// round, after all partitions have run. Newly discovered destinations are
+// appended to `discovered`. Called from inside a parallel region (the
+// scheduler's (query, partition) task loop) the whole slice runs serially
+// on the calling worker, matching the thread pool's nested-call contract;
+// at top level it uses the same balanced machinery as EdgeMapCsrPush.
 template <typename F>
 void EdgeMapCsrPushScoped(const Csr& out, std::span<const VertexId> active, F& func,
                           const EdgeMapOptions& options, Bitmap& dedup,
@@ -396,149 +436,29 @@ void EdgeMapCsrPushScoped(const Csr& out, std::span<const VertexId> active, F& f
   obs::EngineCounters& metrics = obs::EngineCounters::Get();
   metrics.edgemap_calls.Add(1);
 
-  if (ThreadPool::InParallelRegion() || ThreadPool::Current().num_threads() == 1) {
-    edge_map_internal::DispatchBools(
-        out.has_weights(), options.sync == Sync::kLocks, [&](auto wtag, auto ltag) {
-          constexpr bool kWeighted = decltype(wtag)::value;
-          constexpr bool kUseLocks = decltype(ltag)::value;
-          int64_t scanned = 0;
-          int64_t relaxed = 0;
-          for (const VertexId src : active) {
-            const size_t degree = out.Degree(src);
-            edge_map_internal::PushSlice<kWeighted, kUseLocks>(
-                out, src, 0, degree, func, options.locks, dedup, discovered, relaxed);
-            scanned += static_cast<int64_t>(degree);
-          }
-          metrics.edges_scanned.Add(scanned);
-          metrics.edges_relaxed.Add(relaxed);
-        });
-    return;
-  }
-
-  const int workers = ThreadPool::Current().num_threads();
-  std::vector<std::vector<VertexId>> buffers(static_cast<size_t>(workers));
-  edge_map_internal::PushActive(out, active, func, options, dedup, buffers);
-  for (auto& buffer : buffers) {
-    discovered.insert(discovered.end(), buffer.begin(), buffer.end());
-  }
-}
-
-// Pull restricted to destinations [dst_lo, dst_hi). Each destination has one
-// writer regardless of how the range is chunked, so no dedup bitmap is
-// needed; destinations whose state changed are appended to `discovered`.
-// Balance::kEdge picks chunk boundaries from the in-CSR offsets restricted
-// to the range (cost(v) = in-degree(v) + 1, as in EdgeMapCsrPull).
-template <typename F>
-void EdgeMapCsrPullRange(const Csr& in, Frontier& frontier, F& func,
-                         const EdgeMapOptions& options, VertexId dst_lo, VertexId dst_hi,
-                         std::vector<VertexId>& discovered) {
-  if (dst_lo >= dst_hi) {
-    return;
-  }
-  frontier.EnsureDense();
-  obs::EngineCounters& metrics = obs::EngineCounters::Get();
-  metrics.edgemap_calls.Add(1);
-  const Bitmap& active_bits = frontier.bitmap();
-
-  auto scan = [&](auto wtag, int64_t lo, int64_t hi, std::vector<VertexId>& updated_out) {
-    constexpr bool kWeighted = decltype(wtag)::value;
-    int64_t scanned = 0;
-    int64_t relaxed = 0;
-    int64_t cached_word_index = -1;
-    uint64_t cached_word = 0;
-    for (int64_t v = lo; v < hi; ++v) {
-      const VertexId dst = static_cast<VertexId>(v);
-      if (!func.Cond(dst)) {
-        continue;
-      }
-      const auto neighbors = in.Neighbors(dst);
-      const auto weights = in.Weights(dst);
-      bool updated = false;
-      for (size_t j = 0; j < neighbors.size(); ++j) {
-        const VertexId src = neighbors[j];
-        ++scanned;
-        const int64_t word_index = static_cast<int64_t>(src >> 6);
-        if (word_index != cached_word_index) {
-          cached_word_index = word_index;
-          cached_word = active_bits.Word(word_index);
-        }
-        if (((cached_word >> (src & 63)) & 1ULL) == 0) {
-          continue;
-        }
-        const float w = kWeighted ? weights[j] : 1.0f;
-        if (func.Update(src, dst, w)) {
-          updated = true;
-          ++relaxed;
-        }
-        if (!func.Cond(dst)) {
-          break;  // early exit: dst is done for this round
-        }
-      }
-      if (updated) {
-        updated_out.push_back(dst);
-      }
-    }
-    metrics.edges_scanned.Add(scanned);
-    metrics.edges_relaxed.Add(relaxed);
-  };
-
-  auto run = [&](auto wtag) {
+  WithNeighbors(out, [&](const auto& range) {
     if (ThreadPool::InParallelRegion() || ThreadPool::Current().num_threads() == 1) {
-      scan(wtag, static_cast<int64_t>(dst_lo), static_cast<int64_t>(dst_hi), discovered);
+      edge_map_internal::WithLocksTag(options, [&](auto ltag) {
+        int64_t scanned = 0;
+        int64_t relaxed = 0;
+        for (const VertexId src : active) {
+          const uint64_t degree = range.Degree(src);
+          edge_map_internal::PushSlice<decltype(ltag)::value>(
+              range, src, 0, degree, func, options.locks, dedup, discovered, relaxed);
+          scanned += static_cast<int64_t>(degree);
+        }
+        metrics.edges_scanned.Add(scanned);
+        metrics.edges_relaxed.Add(relaxed);
+      });
       return;
     }
-    const int workers = ThreadPool::Current().num_threads();
-    std::vector<std::vector<VertexId>> buffers(static_cast<size_t>(workers));
-    auto chunk_body = [&](int64_t lo, int64_t hi, int worker) {
-      scan(wtag, dst_lo + lo, dst_lo + hi, buffers[static_cast<size_t>(worker)]);
-    };
-    const int64_t span = static_cast<int64_t>(dst_hi) - static_cast<int64_t>(dst_lo);
-    if (options.balance == Balance::kEdge) {
-      const auto& offsets = in.offsets();
-      const uint64_t base = static_cast<uint64_t>(offsets[static_cast<size_t>(dst_lo)]);
-      const uint64_t total =
-          static_cast<uint64_t>(offsets[static_cast<size_t>(dst_hi)]) - base +
-          static_cast<uint64_t>(span);
-      const int64_t num_chunks = BalancedChunkCount(total, kEdgeMapMinChunkCost);
-      const std::vector<int64_t> bounds = BalancedChunkBoundaries(
-          span, num_chunks, [&offsets, base, dst_lo](int64_t i) {
-            return static_cast<uint64_t>(offsets[static_cast<size_t>(dst_lo + i)]) - base +
-                   static_cast<uint64_t>(i);
-          });
-      ParallelForBalancedChunks(bounds, chunk_body);
-    } else {
-      ParallelForChunks(0, span, /*grain=*/256, chunk_body);
-    }
+    std::vector<std::vector<VertexId>> buffers(
+        static_cast<size_t>(ThreadPool::Current().num_threads()));
+    edge_map_internal::PushActive(range, active, func, options, dedup, buffers);
     for (auto& buffer : buffers) {
       discovered.insert(discovered.end(), buffer.begin(), buffer.end());
     }
-  };
-  if (in.has_weights()) {
-    run(std::true_type{});
-  } else {
-    run(std::false_type{});
-  }
-}
-
-// --- Adjacency list, dynamic push-pull (Beamer/Ligra) ----------------------
-//
-// Chooses pull when the frontier's work estimate exceeds |E| / threshold_den,
-// push otherwise. Requires both CSR directions (the pre-processing cost the
-// paper charges against this mode on directed graphs).
-template <typename F>
-Frontier EdgeMapCsrPushPull(const Csr& out, const Csr& in, Frontier& frontier, F& func,
-                            const EdgeMapOptions& options, const PushPullConfig& config,
-                            bool* used_pull = nullptr) {
-  const uint64_t work = frontier.WorkEstimate(out);
-  const bool pull = static_cast<double>(work) >
-                    static_cast<double>(out.num_edges()) / config.threshold_den;
-  if (used_pull != nullptr) {
-    *used_pull = pull;
-  }
-  if (pull) {
-    return EdgeMapCsrPull(in, frontier, func, options);
-  }
-  return EdgeMapCsrPush(out, frontier, func, options);
+  });
 }
 
 // --- Edge array (edge-centric: always a full scan; paper section 4.1) ------
@@ -558,9 +478,8 @@ Frontier EdgeMapEdgeArray(const EdgeList& graph, Frontier& frontier, F& func,
   metrics.edgemap_calls.Add(1);
   obs::TimelineSpan timeline_span("engine", "edgemap.edgearray", num_edges);
 
-  Bitmap next(n);
-  const int workers = ThreadPool::Current().num_threads();
-  std::vector<int64_t> counts(static_cast<size_t>(workers), 0);
+  edge_map_internal::DenseOutput output(n);
+  Bitmap& next = output.next();
 
   int64_t grain = 4096;
   if (options.balance == Balance::kEdge) {
@@ -598,17 +517,13 @@ Frontier EdgeMapEdgeArray(const EdgeList& graph, Frontier& frontier, F& func,
             }
           }
         }
-        counts[static_cast<size_t>(worker)] += local;
+        output.Add(worker, local);
         metrics.edges_scanned.Add(hi - lo);  // edge-centric: every edge is touched
         metrics.edges_relaxed.Add(relaxed);
         obs::TimelineEndSpan("engine", "edgemap.chunk", span_start, hi - lo);
       });
 
-  int64_t total = 0;
-  for (const int64_t c : counts) {
-    total += c;
-  }
-  return Frontier::FromBitmap(n, std::move(next), total);
+  return output.Finish();
 }
 
 // --- Grid ------------------------------------------------------------------
@@ -637,9 +552,8 @@ Frontier EdgeMapGrid(const Grid& grid, Frontier& frontier, F& func,
   metrics.edgemap_calls.Add(1);
   obs::TimelineSpan timeline_span("engine", "edgemap.grid", frontier.Count());
 
-  Bitmap next(n);
-  const int workers = ThreadPool::Current().num_threads();
-  std::vector<int64_t> counts(static_cast<size_t>(workers), 0);
+  edge_map_internal::DenseOutput output(n);
+  Bitmap& next = output.next();
   const bool weighted = grid.has_weights();
   const auto& cell_offsets = grid.cell_offsets();
 
@@ -670,7 +584,7 @@ Frontier EdgeMapGrid(const Grid& grid, Frontier& frontier, F& func,
         }
       }
     }
-    counts[static_cast<size_t>(worker)] += local;
+    output.Add(worker, local);
     metrics.edges_scanned.Add(static_cast<int64_t>(cell.size()));
     metrics.edges_relaxed.Add(relaxed);
   };
@@ -739,55 +653,7 @@ Frontier EdgeMapGrid(const Grid& grid, Frontier& frontier, F& func,
                       });
   }
 
-  int64_t total = 0;
-  for (const int64_t c : counts) {
-    total += c;
-  }
-  return Frontier::FromBitmap(n, std::move(next), total);
-}
-
-// --- Legacy signatures (pre-EdgeMapOptions call sites and tests) -----------
-
-template <typename F>
-Frontier EdgeMapCsrPush(const Csr& out, Frontier& frontier, F& func, Sync sync,
-                        StripedLocks* locks) {
-  EdgeMapOptions options;
-  options.sync = sync;
-  options.locks = locks;
-  return EdgeMapCsrPush(out, frontier, func, options);
-}
-
-template <typename F>
-Frontier EdgeMapCsrPull(const Csr& in, Frontier& frontier, F& func) {
-  return EdgeMapCsrPull(in, frontier, func, EdgeMapOptions{});
-}
-
-template <typename F>
-Frontier EdgeMapCsrPushPull(const Csr& out, const Csr& in, Frontier& frontier, F& func,
-                            Sync push_sync, StripedLocks* locks,
-                            const PushPullConfig& config, bool* used_pull = nullptr) {
-  EdgeMapOptions options;
-  options.sync = push_sync;
-  options.locks = locks;
-  return EdgeMapCsrPushPull(out, in, frontier, func, options, config, used_pull);
-}
-
-template <typename F>
-Frontier EdgeMapEdgeArray(const EdgeList& graph, Frontier& frontier, F& func, Sync sync,
-                          StripedLocks* locks) {
-  EdgeMapOptions options;
-  options.sync = sync;
-  options.locks = locks;
-  return EdgeMapEdgeArray(graph, frontier, func, options);
-}
-
-template <typename F>
-Frontier EdgeMapGrid(const Grid& grid, Frontier& frontier, F& func, Sync sync,
-                     StripedLocks* locks) {
-  EdgeMapOptions options;
-  options.sync = sync;
-  options.locks = locks;
-  return EdgeMapGrid(grid, frontier, func, options);
+  return output.Finish();
 }
 
 }  // namespace egraph

@@ -1,21 +1,24 @@
 // Whole-graph scan primitives for algorithms where every vertex is active in
 // every round (Pagerank, SpMV): no frontier bookkeeping, just the layout's
 // native iteration order. Each maps to one of the paper's configurations.
+// The CSR scans are written once against the NeighborRange concept
+// (neighbor_range.h), so they serve the plain and the compressed CSR alike.
 //
 // All scans iterate in chunks so the edges_scanned counter is bumped once per
 // chunk, not per edge — the metrics cost stays off the inner loop.
 //
 // CSR and row-major grid scans take a Balance knob: Balance::kVertex chunks
-// by item count (fixed grain — the historical behaviour, kept as the default
-// of the two-argument overloads), Balance::kEdge chunks by degree/cell cost
-// using the layout's own offsets array as the prefix sum, so hub vertices
-// and dense cells no longer serialize their chunk.
+// by item count (fixed grain), Balance::kEdge chunks by degree/cell cost
+// using the layout's own cost prefix, so hub vertices and dense cells no
+// longer serialize their chunk.
 #ifndef SRC_ENGINE_SCAN_H_
 #define SRC_ENGINE_SCAN_H_
 
 #include <algorithm>
+#include <type_traits>
 #include <vector>
 
+#include "src/engine/neighbor_range.h"
 #include "src/engine/options.h"
 #include "src/graph/edge_list.h"
 #include "src/layout/compressed_csr.h"
@@ -29,21 +32,57 @@ namespace egraph {
 
 namespace scan_internal {
 
-// Vertex-aligned balanced boundaries over a CSR: cost(v) = degree(v) + 1
-// (the +1 keeps long runs of zero-degree vertices from collapsing into one
-// chunk). The offsets array is already the degree prefix sum.
-inline std::vector<int64_t> CsrBalancedBounds(const Csr& csr, int64_t min_chunk_cost) {
-  const int64_t n = static_cast<int64_t>(csr.num_vertices());
-  const auto& offsets = csr.offsets();
-  const uint64_t total = static_cast<uint64_t>(csr.num_edges()) + static_cast<uint64_t>(n);
-  return BalancedChunkBoundaries(n, BalancedChunkCount(total, min_chunk_cost),
-                                 [&offsets](int64_t v) {
-                                   return static_cast<uint64_t>(offsets[static_cast<size_t>(v)]) +
-                                          static_cast<uint64_t>(v);
-                                 });
+inline constexpr int64_t kScanMinChunkCost = 2048;
+
+// Gathers destinations [lo, hi) in ascending order: body(dst, in_edges) once
+// per destination, where in_edges(fn) calls fn(src, weight) for each
+// in-neighbor in stored order. Returns the in-edges visited. Shared by the
+// plain, compressed and sharded pull scans, so a gather body sees the same
+// per-destination order on all three.
+template <NeighborRange Range, typename Body>
+int64_t GatherDestinations(const Range& in, int64_t lo, int64_t hi, Body& body) {
+  int64_t scanned = 0;
+  for (int64_t v = lo; v < hi; ++v) {
+    const VertexId dst = static_cast<VertexId>(v);
+    const uint64_t degree = in.Degree(dst);
+    scanned += static_cast<int64_t>(degree);
+    body(dst, [&in, dst, degree](auto&& fn) { in.ForEachNeighborSlice(dst, 0, degree, fn); });
+  }
+  return scanned;
 }
 
-inline constexpr int64_t kScanMinChunkCost = 2048;
+// Compressed out-CSR scan balanced over *decode chunks*, not vertices, with
+// boundaries from the per-chunk byte prefix: a hub's fixed-size chunks
+// spread across workers for free, no per-vertex prefix sum needed. Each
+// worker binary-searches its first chunk's owner once, then walks forward.
+template <typename Body>
+void ScanCompressedChunks(const CompressedCsr& out, Body& body, obs::Counter& scanned) {
+  const int64_t num_chunks = out.num_chunks();
+  const std::vector<int64_t> bounds = BalancedChunkBoundaries(
+      num_chunks,
+      BalancedChunkCount(static_cast<uint64_t>(out.stream_bytes().size()) +
+                             static_cast<uint64_t>(num_chunks),
+                         kScanMinChunkCost),
+      [&out](int64_t c) { return out.ChunkByteOffset(c) + static_cast<uint64_t>(c); });
+  ParallelForBalancedChunks(bounds, [&](int64_t lo, int64_t hi, int /*worker*/) {
+    if (lo >= hi) {
+      return;
+    }
+    int64_t local = 0;
+    VertexId src = out.OwnerOf(lo);
+    uint32_t k = static_cast<uint32_t>(lo - out.ChunkBegin(src));
+    for (int64_t c = lo; c < hi; ++c) {
+      while (k == out.NumChunksOf(src)) {
+        ++src;
+        k = 0;
+      }
+      local += static_cast<int64_t>(out.ChunkSizeOf(src, k));
+      out.DecodeChunk(src, k, [&body, src](VertexId dst, float w) { body(src, dst, w); });
+      ++k;
+    }
+    scanned.Add(local);
+  });
+}
 
 }  // namespace scan_internal
 
@@ -65,156 +104,63 @@ void ScanEdgeArray(const EdgeList& graph, Body&& body) {
                     });
 }
 
-// Vertex-centric push scan over an out-CSR: body(src, dst, weight); source
-// metadata naturally cached per vertex. Caller synchronizes dst writes.
-template <typename Body>
-void ScanCsrBySource(const Csr& out, Balance balance, Body&& body) {
-  obs::TimelineSpan timeline_span("engine", "scan.csr.src",
-                                  static_cast<int64_t>(out.num_edges()));
+// Vertex-centric push scan over an out-CSR (plain or compressed):
+// body(src, dst, weight) for every edge; source metadata naturally cached
+// per vertex. Caller synchronizes dst writes. Balance::kEdge chunks are
+// vertex-aligned on the plain CSR and decode-chunk-aligned on the
+// compressed one (ScanCompressedChunks).
+template <typename Graph, typename Body>
+void ScanBySource(const Graph& out, Balance balance, Body&& body) {
+  obs::TimelineSpan timeline_span("engine", "scan.src", static_cast<int64_t>(out.num_edges()));
   obs::Counter& scanned = obs::EngineCounters::Get().edges_scanned;
-  auto chunk = [&](int64_t lo, int64_t hi, int /*worker*/) {
-    int64_t local = 0;
-    for (int64_t v = lo; v < hi; ++v) {
-      const VertexId src = static_cast<VertexId>(v);
-      const auto neighbors = out.Neighbors(src);
-      const auto weights = out.Weights(src);
-      local += static_cast<int64_t>(neighbors.size());
-      for (size_t j = 0; j < neighbors.size(); ++j) {
-        body(src, neighbors[j], weights.empty() ? 1.0f : weights[j]);
-      }
+  if constexpr (std::is_same_v<Graph, CompressedCsr>) {
+    if (balance == Balance::kEdge) {
+      scan_internal::ScanCompressedChunks(out, body, scanned);
+      return;
     }
-    scanned.Add(local);
-  };
-  if (balance == Balance::kEdge) {
-    ParallelForBalancedChunks(
-        scan_internal::CsrBalancedBounds(out, scan_internal::kScanMinChunkCost), chunk);
-  } else {
-    ParallelForChunks(0, static_cast<int64_t>(out.num_vertices()), /*grain=*/256, chunk);
   }
-}
-
-template <typename Body>
-void ScanCsrBySource(const Csr& out, Body&& body) {
-  ScanCsrBySource(out, Balance::kVertex, std::forward<Body>(body));
-}
-
-// Vertex-centric pull scan over an in-CSR: body(dst, in_neighbors, weights)
-// once per destination; dst is written by exactly one thread (lock-free).
-template <typename Body>
-void ScanCsrByDestination(const Csr& in, Balance balance, Body&& body) {
-  obs::TimelineSpan timeline_span("engine", "scan.csr.dst",
-                                  static_cast<int64_t>(in.num_edges()));
-  obs::Counter& scanned = obs::EngineCounters::Get().edges_scanned;
-  auto chunk = [&](int64_t lo, int64_t hi, int /*worker*/) {
-    int64_t local = 0;
-    for (int64_t v = lo; v < hi; ++v) {
-      const VertexId dst = static_cast<VertexId>(v);
-      local += static_cast<int64_t>(in.Neighbors(dst).size());
-      body(dst, in.Neighbors(dst), in.Weights(dst));
-    }
-    scanned.Add(local);
-  };
-  if (balance == Balance::kEdge) {
-    ParallelForBalancedChunks(
-        scan_internal::CsrBalancedBounds(in, scan_internal::kScanMinChunkCost), chunk);
-  } else {
-    ParallelForChunks(0, static_cast<int64_t>(in.num_vertices()), /*grain=*/256, chunk);
-  }
-}
-
-template <typename Body>
-void ScanCsrByDestination(const Csr& in, Body&& body) {
-  ScanCsrByDestination(in, Balance::kVertex, std::forward<Body>(body));
-}
-
-// Vertex-centric push scan over a compressed out-CSR: body(src, dst, weight)
-// for every decoded edge. Balance::kEdge iterates *chunks*, not vertices,
-// with boundaries from the per-chunk byte prefix — a hub's fixed-size decode
-// chunks spread across workers for free, no per-vertex prefix sum needed.
-// Each worker binary-searches its first chunk's owner once, then walks
-// forward. Caller synchronizes destination writes.
-template <typename Body>
-void ScanCompressedBySource(const CompressedCsr& out, Balance balance, Body&& body) {
-  obs::TimelineSpan timeline_span("engine", "scan.compressed.src",
-                                  static_cast<int64_t>(out.num_edges()));
-  obs::Counter& scanned = obs::EngineCounters::Get().edges_scanned;
-  if (balance == Balance::kEdge) {
-    const int64_t num_chunks = out.num_chunks();
-    const std::vector<int64_t> bounds = BalancedChunkBoundaries(
-        num_chunks,
-        BalancedChunkCount(static_cast<uint64_t>(out.stream_bytes().size()) +
-                               static_cast<uint64_t>(num_chunks),
-                           scan_internal::kScanMinChunkCost),
-        [&out](int64_t c) {
-          return out.ChunkByteOffset(c) + static_cast<uint64_t>(c);
-        });
-    ParallelForBalancedChunks(bounds, [&](int64_t lo, int64_t hi, int /*worker*/) {
-      if (lo >= hi) {
-        return;
-      }
+  WithNeighbors(out, [&](const auto& range) {
+    auto chunk = [&](int64_t lo, int64_t hi, int /*worker*/) {
       int64_t local = 0;
-      VertexId src = out.OwnerOf(lo);
-      uint32_t k = static_cast<uint32_t>(lo - out.ChunkBegin(src));
-      for (int64_t c = lo; c < hi; ++c) {
-        while (k == out.NumChunksOf(src)) {
-          ++src;
-          k = 0;
-        }
-        local += static_cast<int64_t>(out.ChunkSizeOf(src, k));
-        out.DecodeChunk(src, k,
-                        [&body, src](VertexId dst, float w) { body(src, dst, w); });
-        ++k;
+      for (int64_t v = lo; v < hi; ++v) {
+        const VertexId src = static_cast<VertexId>(v);
+        const uint64_t degree = range.Degree(src);
+        local += static_cast<int64_t>(degree);
+        range.ForEachNeighborSlice(src, 0, degree,
+                                   [&body, src](VertexId dst, float w) { body(src, dst, w); });
       }
       scanned.Add(local);
-    });
-  } else {
-    ParallelForChunks(0, static_cast<int64_t>(out.num_vertices()), /*grain=*/256,
-                      [&](int64_t lo, int64_t hi, int /*worker*/) {
-                        int64_t local = 0;
-                        for (int64_t v = lo; v < hi; ++v) {
-                          const VertexId src = static_cast<VertexId>(v);
-                          local += static_cast<int64_t>(out.Degree(src));
-                          out.ForEachNeighborWeighted(
-                              src, [&body, src](VertexId dst, float w) { body(src, dst, w); });
-                        }
-                        scanned.Add(local);
-                      });
-  }
+    };
+    if (balance == Balance::kEdge) {
+      ParallelForBalancedChunks(CostBalancedBounds(range, scan_internal::kScanMinChunkCost),
+                                chunk);
+    } else {
+      ParallelForChunks(0, static_cast<int64_t>(range.num_vertices()), /*grain=*/256, chunk);
+    }
+  });
 }
 
-// Vertex-centric pull scan over a compressed in-CSR: body(dst, decode) once
-// per destination, where decode(fn) invokes fn(src, weight) for each
-// in-neighbor in ascending order. Stays vertex-aligned — dst is written by
-// exactly one thread (lock-free) — with Balance::kEdge boundaries from the
-// compressed byte prefix (cost(v) = encoded-bytes(v) + 1).
-template <typename Body>
-void ScanCompressedByDestination(const CompressedCsr& in, Balance balance, Body&& body) {
-  obs::TimelineSpan timeline_span("engine", "scan.compressed.dst",
-                                  static_cast<int64_t>(in.num_edges()));
+// Vertex-centric pull scan over an in-CSR (plain or compressed):
+// body(dst, in_edges) once per destination, in_edges(fn) calling
+// fn(src, weight) per in-neighbor in stored order (ascending on the
+// compressed CSR). dst is written by exactly one thread (lock-free).
+// Balance::kEdge stays vertex-aligned with boundaries from the range's cost
+// prefix.
+template <typename Graph, typename Body>
+void ScanByDestination(const Graph& in, Balance balance, Body&& body) {
+  obs::TimelineSpan timeline_span("engine", "scan.dst", static_cast<int64_t>(in.num_edges()));
   obs::Counter& scanned = obs::EngineCounters::Get().edges_scanned;
-  auto chunk = [&](int64_t lo, int64_t hi, int /*worker*/) {
-    int64_t local = 0;
-    for (int64_t v = lo; v < hi; ++v) {
-      const VertexId dst = static_cast<VertexId>(v);
-      local += static_cast<int64_t>(in.Degree(dst));
-      body(dst, [&in, dst](auto&& fn) { in.ForEachNeighborWeighted(dst, fn); });
+  WithNeighbors(in, [&](const auto& range) {
+    auto chunk = [&](int64_t lo, int64_t hi, int /*worker*/) {
+      scanned.Add(scan_internal::GatherDestinations(range, lo, hi, body));
+    };
+    if (balance == Balance::kEdge) {
+      ParallelForBalancedChunks(CostBalancedBounds(range, scan_internal::kScanMinChunkCost),
+                                chunk);
+    } else {
+      ParallelForChunks(0, static_cast<int64_t>(range.num_vertices()), /*grain=*/256, chunk);
     }
-    scanned.Add(local);
-  };
-  if (balance == Balance::kEdge) {
-    const int64_t n = static_cast<int64_t>(in.num_vertices());
-    const uint64_t total =
-        static_cast<uint64_t>(in.stream_bytes().size()) + static_cast<uint64_t>(n);
-    ParallelForBalancedChunks(
-        BalancedChunkBoundaries(
-            n, BalancedChunkCount(total, scan_internal::kScanMinChunkCost),
-            [&in](int64_t v) {
-              return in.ByteOffset(static_cast<VertexId>(v)) + static_cast<uint64_t>(v);
-            }),
-        chunk);
-  } else {
-    ParallelForChunks(0, static_cast<int64_t>(in.num_vertices()), /*grain=*/256, chunk);
-  }
+  });
 }
 
 // Grid scan, row-major cells: body(src, dst, weight); best source-block
@@ -251,11 +197,6 @@ void ScanGridRowMajor(const Grid& grid, Balance balance, Body&& body) {
   } else {
     ParallelForChunks(0, static_cast<int64_t>(blocks) * blocks, /*grain=*/1, chunk);
   }
-}
-
-template <typename Body>
-void ScanGridRowMajor(const Grid& grid, Body&& body) {
-  ScanGridRowMajor(grid, Balance::kVertex, std::forward<Body>(body));
 }
 
 // Grid scan with column ownership: each thread exclusively owns the

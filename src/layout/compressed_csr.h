@@ -195,21 +195,30 @@ class CompressedCsr {
     }
   }
 
+  // Decodes v's neighbors with weights until fn(neighbor, weight) returns
+  // false; returns false iff fn stopped the decode. Chunks decode in order,
+  // so a stop mid-chunk leaves every later chunk untouched (the pull
+  // kernel's early exit).
+  template <typename Fn>
+  bool ForEachNeighborWhile(VertexId v, Fn&& fn) const {
+    const uint32_t chunks = NumChunksOf(v);
+    for (uint32_t k = 0; k < chunks; ++k) {
+      if (!DecodeChunkWhile(v, k, fn)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  // Traversal-cost prefix for balanced partitioning: encoded bytes before v.
+  uint64_t CostPrefix(VertexId v) const { return ByteOffset(v); }
+
   // Decodes v's neighbors in ascending order, invoking fn(neighbor).
   template <typename Fn>
   void ForEachNeighbor(VertexId v, Fn&& fn) const {
     const uint32_t chunks = NumChunksOf(v);
     for (uint32_t k = 0; k < chunks; ++k) {
       DecodeChunk(v, k, [&fn](VertexId neighbor, float /*weight*/) { fn(neighbor); });
-    }
-  }
-
-  // Decodes v's neighbors with weights, invoking fn(neighbor, weight).
-  template <typename Fn>
-  void ForEachNeighborWeighted(VertexId v, Fn&& fn) const {
-    const uint32_t chunks = NumChunksOf(v);
-    for (uint32_t k = 0; k < chunks; ++k) {
-      DecodeChunk(v, k, fn);
     }
   }
 
@@ -228,7 +237,7 @@ class CompressedCsr {
       return out;
     }
     out.reserve(Degree(v));
-    ForEachNeighborWeighted(v, [&out](VertexId, float w) { out.push_back(w); });
+    ForEachNeighborSlice(v, 0, Degree(v), [&out](VertexId, float w) { out.push_back(w); });
     return out;
   }
 

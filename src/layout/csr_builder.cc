@@ -1,7 +1,7 @@
 #include "src/layout/csr_builder.h"
 
+#include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <mutex>
 
 #include "src/layout/radix_sort.h"
@@ -264,10 +264,12 @@ Csr DynamicAdjacencyBuilder::Finalize(double* flatten_seconds) {
   ParallelFor(0, static_cast<int64_t>(n), [&](int64_t v) {
     const EdgeIndex base = offsets[static_cast<size_t>(v)];
     const auto& list = impl.adjacency[static_cast<size_t>(v)];
-    std::memcpy(neighbors.data() + base, list.data(), list.size() * sizeof(VertexId));
+    // std::copy, not memcpy: an empty list has a null data() pointer, which
+    // memcpy may not be passed even for zero bytes.
+    std::copy(list.begin(), list.end(), neighbors.begin() + static_cast<int64_t>(base));
     if (impl.weighted) {
       const auto& wl = impl.weight_lists[static_cast<size_t>(v)];
-      std::memcpy(weights.data() + base, wl.data(), wl.size() * sizeof(float));
+      std::copy(wl.begin(), wl.end(), weights.begin() + static_cast<int64_t>(base));
     }
   });
   Csr csr;

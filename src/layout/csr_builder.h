@@ -6,6 +6,15 @@
 //   kCountSort - degree count + scatter (two input scans, random scatter)
 //   kRadixSort - parallel MSD radix sort (sequential-write locality; the
 //                paper's winner when the input is in memory: Table 2)
+//
+// "Identical" means the same per-vertex (neighbor, weight) multisets. The
+// order of neighbors within a vertex is part of the contract only for
+// kRadixSort: its sort is stable, so each list keeps input edge-list order
+// at any thread count. kCountSort (atomic per-vertex scatter cursors) and
+// kDynamic (per-vertex appends from parallel chunks) store each list in
+// thread-dependent order. Callers that need an order sort it:
+// Csr::SortNeighborLists, or the compressed CSR, which always encodes lists
+// in ascending neighbor order.
 #ifndef SRC_LAYOUT_CSR_BUILDER_H_
 #define SRC_LAYOUT_CSR_BUILDER_H_
 

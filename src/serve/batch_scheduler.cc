@@ -7,11 +7,11 @@
 #include <vector>
 
 #include "src/algos/common.h"
+#include "src/algos/functors.h"
 #include "src/algos/pagerank.h"
 #include "src/engine/edge_map.h"
 #include "src/engine/scan.h"
 #include "src/serve/checksum.h"
-#include "src/util/atomics.h"
 #include "src/util/bitmap.h"
 #include "src/util/parallel.h"
 #include "src/util/timer.h"
@@ -26,57 +26,6 @@ namespace {
 // overhead, oversizing them forfeits the cache residency the scheduler
 // exists for.
 constexpr uint64_t kStateBytesPerVertex = 24;
-
-// The functors mirror the isolated algorithms' relaxations exactly; only the
-// dispatch around them changes. All batched traversals run push-style over
-// the out-CSR with atomics — their results are schedule-independent
-// fixpoints, so the isolated query's direction/sync knobs do not affect the
-// checksum they must match.
-struct BatchBfsFunctor {
-  VertexId* parent;
-  bool Update(VertexId src, VertexId dst, float /*w*/) {
-    if (parent[dst] == kInvalidVertex) {
-      parent[dst] = src;
-      return true;
-    }
-    return false;
-  }
-  bool UpdateAtomic(VertexId src, VertexId dst, float /*w*/) {
-    return AtomicCas(&parent[dst], kInvalidVertex, src);
-  }
-  bool Cond(VertexId dst) const { return AtomicLoad(&parent[dst]) == kInvalidVertex; }
-};
-
-struct BatchSsspFunctor {
-  float* dist;
-  bool Update(VertexId src, VertexId dst, float w) {
-    const float candidate = dist[src] + w;
-    if (candidate < dist[dst]) {
-      dist[dst] = candidate;
-      return true;
-    }
-    return false;
-  }
-  bool UpdateAtomic(VertexId src, VertexId dst, float w) {
-    return AtomicMin(&dist[dst], AtomicLoad(&dist[src]) + w);
-  }
-  bool Cond(VertexId /*dst*/) const { return true; }
-};
-
-struct BatchWccFunctor {
-  VertexId* label;
-  bool Update(VertexId src, VertexId dst, float /*w*/) {
-    if (label[src] < label[dst]) {
-      label[dst] = label[src];
-      return true;
-    }
-    return false;
-  }
-  bool UpdateAtomic(VertexId src, VertexId dst, float /*w*/) {
-    return AtomicMin(&label[dst], AtomicLoad(&label[src]));
-  }
-  bool Cond(VertexId /*dst*/) const { return true; }
-};
 
 // One query's life inside the cohort: its vertex-state arrays, the
 // per-partition frontier queues the round loop feeds on, and the shared
@@ -331,35 +280,30 @@ std::vector<ServeResult> RunBatch(GraphHandle& handle,
             const Task task = tasks[static_cast<size_t>(t)];
             QueryState& s = states[task.q];
             const size_t p = task.p;
+            // Batched traversals run the isolated algorithms' functors,
+            // push-style over the out-CSR with atomics: their results are
+            // schedule-independent fixpoints, so the isolated query's
+            // direction/sync knobs do not affect the checksum they must match.
+            auto push = [&](auto func) {
+              EdgeMapOptions options;
+              options.balance = s.query->config.balance;
+              EdgeMapCsrPushScoped(out, std::span<const VertexId>(s.frontier[p]), func, options,
+                                   s.dedup, s.discovered[p]);
+            };
             switch (s.query->kind) {
-              case QueryKind::kBfs: {
-                BatchBfsFunctor func{s.parent.data()};
-                EdgeMapOptions options;
-                options.balance = s.query->config.balance;
-                EdgeMapCsrPushScoped(out, std::span<const VertexId>(s.frontier[p]), func,
-                                     options, s.dedup, s.discovered[p]);
+              case QueryKind::kBfs:
+                push(BfsFunctor{s.parent.data()});
                 break;
-              }
-              case QueryKind::kSssp: {
-                BatchSsspFunctor func{s.dist.data()};
-                EdgeMapOptions options;
-                options.balance = s.query->config.balance;
-                EdgeMapCsrPushScoped(out, std::span<const VertexId>(s.frontier[p]), func,
-                                     options, s.dedup, s.discovered[p]);
+              case QueryKind::kSssp:
+                push(SsspFunctor{s.dist.data()});
                 break;
-              }
-              case QueryKind::kWcc: {
-                BatchWccFunctor func{s.label.data()};
-                EdgeMapOptions options;
-                options.balance = s.query->config.balance;
-                EdgeMapCsrPushScoped(out, std::span<const VertexId>(s.frontier[p]), func,
-                                     options, s.dedup, s.discovered[p]);
+              case QueryKind::kWcc:
+                push(WccFunctor{s.label.data()});
                 break;
-              }
               case QueryKind::kPagerank: {
                 // Per-destination gather in in-CSR order: the same float
                 // additions, in the same order, as the isolated pull path's
-                // ScanCsrByDestination — bit-identical per destination.
+                // ScanByDestination — bit-identical per destination.
                 for (VertexId dst = boundaries[p]; dst < boundaries[p + 1]; ++dst) {
                   const auto sources = in->Neighbors(dst);
                   float sum = 0.0f;

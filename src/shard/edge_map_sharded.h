@@ -27,13 +27,12 @@
 #ifndef SRC_SHARD_EDGE_MAP_SHARDED_H_
 #define SRC_SHARD_EDGE_MAP_SHARDED_H_
 
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "src/engine/edge_map.h"
 #include "src/engine/frontier.h"
 #include "src/engine/options.h"
+#include "src/engine/scan.h"
 #include "src/layout/csr.h"
 #include "src/obs/metrics.h"
 #include "src/obs/timeline.h"
@@ -131,7 +130,6 @@ inline int ShardAt(const std::vector<int>& order, Balance balance, int64_t idx) 
 template <typename F>
 Frontier EdgeMapShardedPush(const Csr& out, const ShardedGraph& shards, Frontier& frontier,
                             F& func, const EdgeMapOptions& options) {
-  const VertexId n = out.num_vertices();
   const int num_shards = shards.num_shards();
 
   obs::EngineCounters& metrics = obs::EngineCounters::Get();
@@ -141,31 +139,14 @@ Frontier EdgeMapShardedPush(const Csr& out, const ShardedGraph& shards, Frontier
   obs::TimelineSpan timeline_span("engine", "edgemap.sharded.push", frontier.Count());
 
   std::vector<Frontier> slices = frontier.SplitByRanges(shards.boundaries());
-
-  const int workers = ThreadPool::Current().num_threads();
-  Bitmap local_next;
-  std::vector<std::vector<VertexId>> local_buffers;
-  Bitmap* next_ptr;
-  std::vector<std::vector<VertexId>>* buffers_ptr;
-  if (options.scratch != nullptr) {
-    next_ptr = &options.scratch->RoundBitmap(n);
-    buffers_ptr = &options.scratch->WorkerBuffers(workers);
-  } else {
-    local_next.Resize(static_cast<int64_t>(n));
-    local_buffers.resize(static_cast<size_t>(workers));
-    next_ptr = &local_next;
-    buffers_ptr = &local_buffers;
-  }
-  Bitmap& next = *next_ptr;
-  std::vector<std::vector<VertexId>>& buffers = *buffers_ptr;
-
+  edge_map_internal::PushOutput output(out.num_vertices(), options);
+  Bitmap& next = output.next();
+  std::vector<std::vector<VertexId>>& buffers = output.buffers();
   shard_internal::BufferGrid grid(num_shards);
 
-  auto run = [&](auto wtag) {
-    constexpr bool kWeighted = decltype(wtag)::value;
-
-    // Phase 1: scatter. Task s owns shard s's destinations; everything else
-    // rides an aggregation buffer.
+  // Phase 1: scatter. Task s owns shard s's destinations; everything else
+  // rides an aggregation buffer.
+  WithNeighbors(out, [&](const auto& range) {
     ParallelForChunks(
         0, num_shards, /*grain=*/1, [&](int64_t lo, int64_t hi, int worker) {
           auto& buffer = buffers[static_cast<size_t>(worker)];
@@ -181,15 +162,12 @@ Frontier EdgeMapShardedPush(const Csr& out, const ShardedGraph& shards, Frontier
             int64_t local_updates = 0;
             int64_t remote_updates = 0;
             for (const VertexId src : slice.Vertices()) {
-              const auto neighbors = out.Neighbors(src);
-              const auto weights = out.Weights(src);
-              scanned += static_cast<int64_t>(neighbors.size());
-              for (size_t j = 0; j < neighbors.size(); ++j) {
-                const VertexId dst = neighbors[j];
+              const uint64_t degree = range.Degree(src);
+              scanned += static_cast<int64_t>(degree);
+              range.ForEachNeighborSlice(src, 0, degree, [&](VertexId dst, float w) {
                 if (!func.Cond(dst)) {
-                  continue;
+                  return;
                 }
-                const float w = kWeighted ? weights[j] : 1.0f;
                 const int t = shards.ShardOf(dst);
                 if (t == s) {
                   ++local_updates;
@@ -203,7 +181,7 @@ Frontier EdgeMapShardedPush(const Csr& out, const ShardedGraph& shards, Frontier
                   ++remote_updates;
                   grid.At(s, t).Enqueue(src, dst, w);
                 }
-              }
+              });
             }
             grid.FlushRow(s);
             metrics.edges_scanned.Add(scanned);
@@ -213,157 +191,74 @@ Frontier EdgeMapShardedPush(const Csr& out, const ShardedGraph& shards, Frontier
             obs::TimelineEndSpan("engine", "edgemap.chunk", span_start, scanned);
           }
         });
+  });
 
-    // Phase 2: apply. Task t is the only writer of shard t's state; every
-    // drained batch lands as sequential plain stores on warm owner pages.
-    ParallelForChunks(
-        0, num_shards, /*grain=*/1, [&](int64_t lo, int64_t hi, int worker) {
-          auto& buffer = buffers[static_cast<size_t>(worker)];
-          for (int64_t idx = lo; idx < hi; ++idx) {
-            const int t = shard_internal::ShardAt(shards.in_order(), options.balance, idx);
-            const uint64_t span_start = obs::TimelineNow();
-            int64_t relaxed = 0;
-            int64_t applied = 0;
-            for (int s = 0; s < num_shards; ++s) {
-              if (s == t) {
-                continue;
-              }
-              applied += grid.At(s, t).Drain([&](const ShardUpdate& update) {
-                if (!func.Cond(update.dst)) {
-                  return;
-                }
-                if (func.Update(update.src, update.dst, update.weight)) {
-                  ++relaxed;
-                  if (next.TestAndSet(update.dst)) {
-                    buffer.push_back(update.dst);
-                  }
-                }
-              });
+  // Phase 2: apply. Task t is the only writer of shard t's state; every
+  // drained batch lands as sequential plain stores on warm owner pages.
+  ParallelForChunks(
+      0, num_shards, /*grain=*/1, [&](int64_t lo, int64_t hi, int worker) {
+        auto& buffer = buffers[static_cast<size_t>(worker)];
+        for (int64_t idx = lo; idx < hi; ++idx) {
+          const int t = shard_internal::ShardAt(shards.in_order(), options.balance, idx);
+          const uint64_t span_start = obs::TimelineNow();
+          int64_t relaxed = 0;
+          int64_t applied = 0;
+          for (int s = 0; s < num_shards; ++s) {
+            if (s == t) {
+              continue;
             }
-            metrics.edges_relaxed.Add(relaxed);
-            obs::TimelineEndSpan("engine", "edgemap.chunk", span_start, applied);
+            applied += grid.At(s, t).Drain([&](const ShardUpdate& update) {
+              if (!func.Cond(update.dst)) {
+                return;
+              }
+              if (func.Update(update.src, update.dst, update.weight)) {
+                ++relaxed;
+                if (next.TestAndSet(update.dst)) {
+                  buffer.push_back(update.dst);
+                }
+              }
+            });
           }
-        });
-  };
-  if (out.has_weights()) {
-    run(std::true_type{});
-  } else {
-    run(std::false_type{});
-  }
+          metrics.edges_relaxed.Add(relaxed);
+          obs::TimelineEndSpan("engine", "edgemap.chunk", span_start, applied);
+        }
+      });
 
   grid.PublishStats();
-  return Frontier::FromVector(
-      n, edge_map_internal::ConcatBuffers(buffers, /*retain_capacity=*/options.scratch != nullptr));
+  return output.Finish();
 }
 
 // --- Sharded adjacency pull (owner-partitioned gather) ---------------------
 //
-// Same gather loop as EdgeMapCsrPull (word-batched frontier probe, Cond
-// early exit) but chunked by shard ownership: task t gathers exactly the
+// The shared pull body of EdgeMapCsrPull (word-batched frontier probe, Cond
+// early exit) chunked by shard ownership: task t gathers exactly the
 // destinations shard t owns, so the write pattern matches the sharded push
 // and the balance knob reuses the precomputed in-edge mass order instead of
-// a per-call offsets scan.
+// a per-call cost-prefix scan.
 template <typename F>
 Frontier EdgeMapShardedPull(const Csr& in, const ShardedGraph& shards, Frontier& frontier,
                             F& func, const EdgeMapOptions& options) {
-  const VertexId n = in.num_vertices();
   frontier.EnsureDense();
-  const int num_shards = shards.num_shards();
-
-  obs::EngineCounters& metrics = obs::EngineCounters::Get();
-  metrics.edgemap_calls.Add(1);
+  obs::EngineCounters::Get().edgemap_calls.Add(1);
   ShardMetrics& shard_metrics = ShardMetrics::Get();
   shard_metrics.edgemap_calls.Add(1);
   obs::TimelineSpan timeline_span("engine", "edgemap.sharded.pull", frontier.Count());
 
-  Bitmap next(n);  // ownership moves into the result; scratch cannot serve it
-  const int workers = ThreadPool::Current().num_threads();
-  std::vector<int64_t> counts(static_cast<size_t>(workers), 0);
+  edge_map_internal::DenseOutput output(in.num_vertices());
   const Bitmap& active_bits = frontier.bitmap();
-
-  auto run = [&](auto wtag) {
-    constexpr bool kWeighted = decltype(wtag)::value;
+  WithNeighbors(in, [&](const auto& range) {
     ParallelForChunks(
-        0, num_shards, /*grain=*/1, [&](int64_t lo, int64_t hi, int worker) {
+        0, shards.num_shards(), /*grain=*/1, [&](int64_t lo, int64_t hi, int worker) {
           for (int64_t idx = lo; idx < hi; ++idx) {
             const int t = shard_internal::ShardAt(shards.in_order(), options.balance, idx);
-            const uint64_t span_start = obs::TimelineNow();
-            int64_t local = 0;
-            int64_t scanned = 0;
-            int64_t relaxed = 0;
-            int64_t cached_word_index = -1;
-            uint64_t cached_word = 0;
-            const int64_t v_lo = static_cast<int64_t>(shards.ShardBegin(t));
-            const int64_t v_hi = static_cast<int64_t>(shards.ShardEnd(t));
-            for (int64_t v = v_lo; v < v_hi; ++v) {
-              const VertexId dst = static_cast<VertexId>(v);
-              if (!func.Cond(dst)) {
-                continue;
-              }
-              const auto neighbors = in.Neighbors(dst);
-              const auto weights = in.Weights(dst);
-              bool updated = false;
-              for (size_t j = 0; j < neighbors.size(); ++j) {
-                const VertexId src = neighbors[j];
-                ++scanned;
-                const int64_t word_index = static_cast<int64_t>(src >> 6);
-                if (word_index != cached_word_index) {
-                  cached_word_index = word_index;
-                  cached_word = active_bits.Word(word_index);
-                }
-                if (((cached_word >> (src & 63)) & 1ULL) == 0) {
-                  continue;
-                }
-                const float w = kWeighted ? weights[j] : 1.0f;
-                if (func.Update(src, dst, w)) {
-                  updated = true;
-                  ++relaxed;
-                }
-                if (!func.Cond(dst)) {
-                  break;  // early exit: dst is done for this round
-                }
-              }
-              if (updated) {
-                next.Set(v);
-                ++local;
-              }
-            }
-            counts[static_cast<size_t>(worker)] += local;
-            shard_metrics.local_updates.Add(relaxed);  // every pull apply is owner-local
-            metrics.edges_scanned.Add(scanned);
-            metrics.edges_relaxed.Add(relaxed);
-            obs::TimelineEndSpan("engine", "edgemap.chunk", span_start, scanned);
+            const edge_map_internal::PullTally tally = edge_map_internal::PullChunk(
+                range, active_bits, func, shards.ShardBegin(t), shards.ShardEnd(t), worker,
+                output);
+            shard_metrics.local_updates.Add(tally.relaxed);  // every pull apply is owner-local
           }
         });
-  };
-  if (in.has_weights()) {
-    run(std::true_type{});
-  } else {
-    run(std::false_type{});
-  }
-
-  int64_t total = 0;
-  for (const int64_t c : counts) {
-    total += c;
-  }
-  return Frontier::FromBitmap(n, std::move(next), total);
-}
-
-// --- Sharded dynamic push-pull (Beamer/Ligra over shards) ------------------
-template <typename F>
-Frontier EdgeMapShardedPushPull(const Csr& out, const Csr& in, const ShardedGraph& shards,
-                                Frontier& frontier, F& func, const EdgeMapOptions& options,
-                                const PushPullConfig& config, bool* used_pull = nullptr) {
-  const uint64_t work = frontier.WorkEstimate(out);
-  const bool pull = static_cast<double>(work) >
-                    static_cast<double>(out.num_edges()) / config.threshold_den;
-  if (used_pull != nullptr) {
-    *used_pull = pull;
-  }
-  if (pull) {
-    return EdgeMapShardedPull(in, shards, frontier, func, options);
-  }
-  return EdgeMapShardedPush(out, shards, frontier, func, options);
+  });
+  return output.Finish();
 }
 
 // --- Sharded all-active scans (PageRank / SpMV) ----------------------------
@@ -384,37 +279,34 @@ void ShardScanBySource(const Csr& out, const ShardedGraph& shards, Body&& body) 
 
   shard_internal::BufferGrid grid(num_shards);
 
-  ParallelForChunks(0, num_shards, /*grain=*/1, [&](int64_t lo, int64_t hi, int /*worker*/) {
-    for (int64_t idx = lo; idx < hi; ++idx) {
-      const int s = shards.out_order()[static_cast<size_t>(idx)];
-      int64_t scanned = 0;
-      int64_t local_updates = 0;
-      int64_t remote_updates = 0;
-      const int64_t v_lo = static_cast<int64_t>(shards.ShardBegin(s));
-      const int64_t v_hi = static_cast<int64_t>(shards.ShardEnd(s));
-      for (int64_t v = v_lo; v < v_hi; ++v) {
-        const VertexId src = static_cast<VertexId>(v);
-        const auto neighbors = out.Neighbors(src);
-        const auto weights = out.Weights(src);
-        scanned += static_cast<int64_t>(neighbors.size());
-        for (size_t j = 0; j < neighbors.size(); ++j) {
-          const VertexId dst = neighbors[j];
-          const float w = weights.empty() ? 1.0f : weights[j];
-          const int t = shards.ShardOf(dst);
-          if (t == s) {
-            ++local_updates;
-            body(src, dst, w);
-          } else {
-            ++remote_updates;
-            grid.At(s, t).Enqueue(src, dst, w);
+  WithNeighbors(out, [&](const auto& range) {
+    ParallelForChunks(
+        0, num_shards, /*grain=*/1, [&](int64_t lo, int64_t hi, int /*worker*/) {
+          for (int64_t idx = lo; idx < hi; ++idx) {
+            const int s = shards.out_order()[static_cast<size_t>(idx)];
+            int64_t scanned = 0;
+            int64_t local_updates = 0;
+            int64_t remote_updates = 0;
+            for (VertexId src = shards.ShardBegin(s); src < shards.ShardEnd(s); ++src) {
+              const uint64_t degree = range.Degree(src);
+              scanned += static_cast<int64_t>(degree);
+              range.ForEachNeighborSlice(src, 0, degree, [&](VertexId dst, float w) {
+                const int t = shards.ShardOf(dst);
+                if (t == s) {
+                  ++local_updates;
+                  body(src, dst, w);
+                } else {
+                  ++remote_updates;
+                  grid.At(s, t).Enqueue(src, dst, w);
+                }
+              });
+            }
+            grid.FlushRow(s);
+            scanned_counter.Add(scanned);
+            shard_metrics.local_updates.Add(local_updates);
+            shard_metrics.remote_updates.Add(remote_updates);
           }
-        }
-      }
-      grid.FlushRow(s);
-      scanned_counter.Add(scanned);
-      shard_metrics.local_updates.Add(local_updates);
-      shard_metrics.remote_updates.Add(remote_updates);
-    }
+        });
   });
 
   ParallelForChunks(0, num_shards, /*grain=*/1, [&](int64_t lo, int64_t hi, int /*worker*/) {
@@ -434,32 +326,26 @@ void ShardScanBySource(const Csr& out, const ShardedGraph& shards, Body&& body) 
   grid.PublishStats();
 }
 
-// Owner-partitioned dense gather: body(dst, in_neighbors, weights) once per
-// destination, iterated in ascending dst within each shard — the identical
-// per-destination order to ScanCsrByDestination, so floating-point gather
-// sums (PageRank, SpMV) are bit-identical to the plain pull backend.
+// Owner-partitioned dense gather: body(dst, in_edges) once per destination,
+// iterated in ascending dst within each shard by the same gather loop as
+// ScanByDestination, so floating-point gather sums (PageRank, SpMV) are
+// bit-identical to the plain pull backend.
 template <typename Body>
 void ShardScanByDestination(const Csr& in, const ShardedGraph& shards, Body&& body) {
-  const int num_shards = shards.num_shards();
   obs::TimelineSpan timeline_span("engine", "scan.sharded.dst",
                                   static_cast<int64_t>(in.num_edges()));
   obs::Counter& scanned_counter = obs::EngineCounters::Get().edges_scanned;
-  ShardMetrics& shard_metrics = ShardMetrics::Get();
-  shard_metrics.edgemap_calls.Add(1);
+  ShardMetrics::Get().edgemap_calls.Add(1);
 
-  ParallelForChunks(0, num_shards, /*grain=*/1, [&](int64_t lo, int64_t hi, int /*worker*/) {
-    for (int64_t idx = lo; idx < hi; ++idx) {
-      const int t = shards.in_order()[static_cast<size_t>(idx)];
-      int64_t scanned = 0;
-      const int64_t v_lo = static_cast<int64_t>(shards.ShardBegin(t));
-      const int64_t v_hi = static_cast<int64_t>(shards.ShardEnd(t));
-      for (int64_t v = v_lo; v < v_hi; ++v) {
-        const VertexId dst = static_cast<VertexId>(v);
-        scanned += static_cast<int64_t>(in.Neighbors(dst).size());
-        body(dst, in.Neighbors(dst), in.Weights(dst));
-      }
-      scanned_counter.Add(scanned);
-    }
+  WithNeighbors(in, [&](const auto& range) {
+    ParallelForChunks(
+        0, shards.num_shards(), /*grain=*/1, [&](int64_t lo, int64_t hi, int /*worker*/) {
+          for (int64_t idx = lo; idx < hi; ++idx) {
+            const int t = shards.in_order()[static_cast<size_t>(idx)];
+            scanned_counter.Add(scan_internal::GatherDestinations(
+                range, shards.ShardBegin(t), shards.ShardEnd(t), body));
+          }
+        });
   });
 }
 

@@ -6,7 +6,7 @@
 
 #include "src/algos/analytics.h"
 #include "src/algos/reference.h"
-#include "src/engine/edge_map_compressed.h"
+#include "src/engine/edge_map.h"
 #include "src/gen/rmat.h"
 #include "src/gen/road.h"
 #include "src/layout/csr_builder.h"
@@ -126,14 +126,18 @@ TEST(EdgeMapCompressed, BfsReachabilityMatchesPlainCsr) {
     return reached;
   };
 
+  EdgeMapOptions atomics;
+  atomics.locks = &locks;
+  EdgeMapOptions striped = atomics;
+  striped.sync = Sync::kLocks;
   const auto plain = reach([&](Frontier& f, ReachFunctor& fn) {
-    return EdgeMapCsrPush(out, f, fn, Sync::kAtomics, &locks);
+    return EdgeMapCsrPush(out, f, fn, atomics);
   });
   const auto packed = reach([&](Frontier& f, ReachFunctor& fn) {
-    return EdgeMapCompressedPush(compressed, f, fn, Sync::kAtomics, &locks);
+    return EdgeMapCsrPush(compressed, f, fn, atomics);
   });
   const auto packed_locks = reach([&](Frontier& f, ReachFunctor& fn) {
-    return EdgeMapCompressedPush(compressed, f, fn, Sync::kLocks, &locks);
+    return EdgeMapCsrPush(compressed, f, fn, striped);
   });
   EXPECT_EQ(packed, plain);
   EXPECT_EQ(packed_locks, plain);

@@ -14,7 +14,6 @@
 #include "src/algos/bfs.h"
 #include "src/algos/reference.h"
 #include "src/engine/edge_map.h"
-#include "src/engine/edge_map_compressed.h"
 #include "src/engine/execution_context.h"
 #include "src/engine/graph_handle.h"
 #include "src/gen/rmat.h"
@@ -70,9 +69,9 @@ Frontier Step(GraphHandle& handle, Layout layout, Direction direction, Frontier&
       return EdgeMapCsrPush(handle.out_csr(), frontier, func, options);
     case Layout::kCompressed:
       if (direction == Direction::kPull) {
-        return EdgeMapCompressedPull(handle.compressed_in(), frontier, func, options);
+        return EdgeMapCsrPull(handle.compressed_in(), frontier, func, options);
       }
-      return EdgeMapCompressedPush(handle.compressed_out(), frontier, func, options);
+      return EdgeMapCsrPush(handle.compressed_out(), frontier, func, options);
     case Layout::kEdgeArray:
       return EdgeMapEdgeArray(handle.edges(), frontier, func, options);
     case Layout::kGrid:

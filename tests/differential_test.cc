@@ -153,7 +153,7 @@ class DifferentialTest : public ::testing::TestWithParam<Cell> {
       graphs_ = BuildGraphs();
     }
   }
-  // Graphs (and their reference solutions) are shared across all 48 cells;
+  // Graphs (and their reference solutions) are shared across all 60 cells;
   // intentionally leaked so TearDown order doesn't matter.
   static std::vector<TestGraph>* graphs_;
 

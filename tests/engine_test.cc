@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/algos/bfs.h"
+#include "src/algos/dispatch.h"
 #include "src/algos/reference.h"
 #include "src/engine/edge_map.h"
 #include "src/engine/graph_handle.h"
@@ -130,6 +131,13 @@ class EdgeMapTest : public ::testing::Test {
     return reached;
   }
 
+  static EdgeMapOptions Options(Sync sync) {
+    EdgeMapOptions options;
+    options.sync = sync;
+    options.locks = &handle_->locks();
+    return options;
+  }
+
   static EdgeList* graph_;
   static GraphHandle* handle_;
   static std::set<VertexId>* expected_;
@@ -141,34 +149,33 @@ std::set<VertexId>* EdgeMapTest::expected_ = nullptr;
 
 TEST_F(EdgeMapTest, CsrPushAtomics) {
   auto reached = Reach([&](Frontier& f, ReachFunctor& fn) {
-    return EdgeMapCsrPush(handle_->out_csr(), f, fn, Sync::kAtomics, &handle_->locks());
+    return EdgeMapCsrPush(handle_->out_csr(), f, fn, Options(Sync::kAtomics));
   });
   EXPECT_EQ(reached, *expected_);
 }
 
 TEST_F(EdgeMapTest, CsrPushLocks) {
   auto reached = Reach([&](Frontier& f, ReachFunctor& fn) {
-    return EdgeMapCsrPush(handle_->out_csr(), f, fn, Sync::kLocks, &handle_->locks());
+    return EdgeMapCsrPush(handle_->out_csr(), f, fn, Options(Sync::kLocks));
   });
   EXPECT_EQ(reached, *expected_);
 }
 
 TEST_F(EdgeMapTest, CsrPull) {
   auto reached = Reach([&](Frontier& f, ReachFunctor& fn) {
-    return EdgeMapCsrPull(handle_->in_csr(), f, fn);
+    return EdgeMapCsrPull(handle_->in_csr(), f, fn, EdgeMapOptions{});
   });
   EXPECT_EQ(reached, *expected_);
 }
 
 TEST_F(EdgeMapTest, CsrPushPull) {
   bool ever_pulled = false;
+  RunConfig config;
+  config.direction = Direction::kPushPull;
   auto reached = Reach([&](Frontier& f, ReachFunctor& fn) {
-    bool used_pull = false;
-    Frontier next = EdgeMapCsrPushPull(handle_->out_csr(), handle_->in_csr(), f, fn,
-                                       Sync::kAtomics, &handle_->locks(), PushPullConfig{},
-                                       &used_pull);
-    ever_pulled |= used_pull;
-    return next;
+    EdgeMapResult round = EdgeMap(*handle_, config, ExecutionContext::Default(), f, fn);
+    ever_pulled |= round.used == Direction::kPull;
+    return std::move(round.next);
   });
   EXPECT_EQ(reached, *expected_);
   // On a power-law graph the mid-traversal frontier is large enough that the
@@ -178,28 +185,28 @@ TEST_F(EdgeMapTest, CsrPushPull) {
 
 TEST_F(EdgeMapTest, EdgeArray) {
   auto reached = Reach([&](Frontier& f, ReachFunctor& fn) {
-    return EdgeMapEdgeArray(handle_->edges(), f, fn, Sync::kAtomics, &handle_->locks());
+    return EdgeMapEdgeArray(handle_->edges(), f, fn, Options(Sync::kAtomics));
   });
   EXPECT_EQ(reached, *expected_);
 }
 
 TEST_F(EdgeMapTest, GridLockFree) {
   auto reached = Reach([&](Frontier& f, ReachFunctor& fn) {
-    return EdgeMapGrid(handle_->grid(), f, fn, Sync::kLockFree, &handle_->locks());
+    return EdgeMapGrid(handle_->grid(), f, fn, Options(Sync::kLockFree));
   });
   EXPECT_EQ(reached, *expected_);
 }
 
 TEST_F(EdgeMapTest, GridLocks) {
   auto reached = Reach([&](Frontier& f, ReachFunctor& fn) {
-    return EdgeMapGrid(handle_->grid(), f, fn, Sync::kLocks, &handle_->locks());
+    return EdgeMapGrid(handle_->grid(), f, fn, Options(Sync::kLocks));
   });
   EXPECT_EQ(reached, *expected_);
 }
 
 TEST_F(EdgeMapTest, GridAtomics) {
   auto reached = Reach([&](Frontier& f, ReachFunctor& fn) {
-    return EdgeMapGrid(handle_->grid(), f, fn, Sync::kAtomics, &handle_->locks());
+    return EdgeMapGrid(handle_->grid(), f, fn, Options(Sync::kAtomics));
   });
   EXPECT_EQ(reached, *expected_);
 }
@@ -287,48 +294,6 @@ class PartitionScopedTest : public EdgeMapTest {
     }
     EXPECT_EQ(reached, *expected_) << BalanceName(balance);
   }
-
-  // One pull round over a mid-traversal frontier: the union of
-  // EdgeMapCsrPullRange over the partition ranges must equal the whole-graph
-  // EdgeMapCsrPull next frontier.
-  void ExpectPullRangeMatches(Balance balance) {
-    const VertexId n = graph_->num_vertices();
-    // Two push rounds from the source grow a frontier big enough that every
-    // partition holds both active and inactive destinations.
-    std::vector<uint8_t> seed_visited(n, 0);
-    seed_visited[0] = 1;
-    ReachFunctor seed_func{seed_visited.data()};
-    Frontier frontier = Frontier::Single(n, 0);
-    for (int round = 0; round < 2 && !frontier.Empty(); ++round) {
-      frontier = EdgeMapCsrPush(out(), frontier, seed_func, EdgeMapOptions{});
-    }
-    ASSERT_FALSE(frontier.Empty());
-
-    EdgeMapOptions options;
-    options.balance = balance;
-    // Pull only reads the frontier (EnsureDense aside), so the same object
-    // feeds both the whole-graph and the per-range runs.
-    std::vector<uint8_t> ref_visited = seed_visited;
-    ReachFunctor ref_func{ref_visited.data()};
-    Frontier ref_next = EdgeMapCsrPull(handle_->in_csr(), frontier, ref_func, options);
-    ref_next.EnsureSparse();
-    std::vector<VertexId> expected_next = ref_next.Vertices();
-    std::sort(expected_next.begin(), expected_next.end());
-
-    std::vector<uint8_t> visited = seed_visited;
-    ReachFunctor func{visited.data()};
-    std::vector<VertexId> discovered;
-    const std::vector<VertexId> boundaries = {0, n / 4, n / 4, n / 2, n};
-    for (size_t p = 0; p + 1 < boundaries.size(); ++p) {
-      EdgeMapCsrPullRange(handle_->in_csr(), frontier, func, options, boundaries[p],
-                          boundaries[p + 1], discovered);
-    }
-    std::sort(discovered.begin(), discovered.end());
-    EXPECT_EQ(discovered, expected_next) << BalanceName(balance);
-    EXPECT_EQ(visited, ref_visited) << BalanceName(balance);
-  }
-
-  const Csr& out() { return handle_->out_csr(); }
 };
 
 TEST_F(PartitionScopedTest, ScopedPushUnionMatchesWholeGraphVertexBalanced) {
@@ -337,14 +302,6 @@ TEST_F(PartitionScopedTest, ScopedPushUnionMatchesWholeGraphVertexBalanced) {
 
 TEST_F(PartitionScopedTest, ScopedPushUnionMatchesWholeGraphEdgeBalanced) {
   ExpectScopedPushMatches(Balance::kEdge);
-}
-
-TEST_F(PartitionScopedTest, PullRangeUnionMatchesWholeGraphVertexBalanced) {
-  ExpectPullRangeMatches(Balance::kVertex);
-}
-
-TEST_F(PartitionScopedTest, PullRangeUnionMatchesWholeGraphEdgeBalanced) {
-  ExpectPullRangeMatches(Balance::kEdge);
 }
 
 TEST(EdgeMapThreshold, LowThresholdForcesPull) {
@@ -362,12 +319,11 @@ TEST(EdgeMapThreshold, LowThresholdForcesPull) {
   visited[0] = 1;
   ReachFunctor func{visited.data()};
   Frontier frontier = Frontier::Single(3, 0);
-  bool used_pull = false;
-  PushPullConfig config;
-  config.threshold_den = 1e9;  // anything is "dense"
-  EdgeMapCsrPushPull(handle.out_csr(), handle.in_csr(), frontier, func, Sync::kAtomics,
-                     &handle.locks(), config, &used_pull);
-  EXPECT_TRUE(used_pull);
+  RunConfig config;
+  config.direction = Direction::kPushPull;
+  config.pushpull.threshold_den = 1e9;  // anything is "dense"
+  EXPECT_EQ(EdgeMap(handle, config, ExecutionContext::Default(), frontier, func).used,
+            Direction::kPull);
 }
 
 // --- Scan helpers -----------------------------------------------------------
@@ -393,16 +349,17 @@ TEST(Scan, AllScansVisitEveryEdgeExactlyOnce) {
 
   const uint64_t m = graph.num_edges();
   EXPECT_EQ(count_with([&](auto body) { ScanEdgeArray(handle.edges(), body); }), m);
-  EXPECT_EQ(count_with([&](auto body) { ScanCsrBySource(handle.out_csr(), body); }), m);
-  EXPECT_EQ(count_with([&](auto body) { ScanGridRowMajor(handle.grid(), body); }), m);
-  EXPECT_EQ(count_with([&](auto body) { ScanGridColumnOwned(handle.grid(), body); }), m);
+  for (const Balance balance : {Balance::kVertex, Balance::kEdge}) {
+    EXPECT_EQ(count_with([&](auto body) { ScanBySource(handle.out_csr(), balance, body); }), m);
+    EXPECT_EQ(count_with([&](auto body) { ScanGridRowMajor(handle.grid(), balance, body); }), m);
 
-  std::atomic<uint64_t> pull_count{0};
-  ScanCsrByDestination(handle.in_csr(), [&](VertexId, std::span<const VertexId> sources,
-                                            std::span<const float>) {
-    pull_count.fetch_add(sources.size(), std::memory_order_relaxed);
-  });
-  EXPECT_EQ(pull_count.load(), m);
+    std::atomic<uint64_t> pull_count{0};
+    ScanByDestination(handle.in_csr(), balance, [&](VertexId, auto&& in_edges) {
+      in_edges([&](VertexId, float) { pull_count.fetch_add(1, std::memory_order_relaxed); });
+    });
+    EXPECT_EQ(pull_count.load(), m) << BalanceName(balance);
+  }
+  EXPECT_EQ(count_with([&](auto body) { ScanGridColumnOwned(handle.grid(), body); }), m);
 }
 
 TEST(Scan, GridColumnOwnershipIsExclusive) {

@@ -126,7 +126,10 @@ TEST_P(PushDedupTest, RoundBitmapNeverEmitsDuplicates) {
 
     Frontier frontier = Frontier::FromVector(n, active);
     AlwaysRelaxFunctor func;
-    Frontier next = EdgeMapCsrPush(out, frontier, func, GetParam(), &handle.locks());
+    EdgeMapOptions options;
+    options.sync = GetParam();
+    options.locks = &handle.locks();
+    Frontier next = EdgeMapCsrPush(out, frontier, func, options);
 
     std::vector<VertexId> produced = SortedVertices(next);
     ASSERT_EQ(std::adjacent_find(produced.begin(), produced.end()), produced.end())

@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -239,15 +238,20 @@ TEST_F(IoAdversarialTest, MixedWeightedUnweightedRejected) {
 // edges on disk, so weights were unknown at insertion time).
 // ---------------------------------------------------------------------------
 
-using NeighborWeights = std::multimap<VertexId, float>;
+// A vertex's (neighbor, weight) multiset as a sorted vector. Neighbor order
+// within a vertex is not part of the CSR contract (dynamic and count-sort
+// builds scatter in thread-dependent order), so parallel edges with
+// different weights must compare as a multiset, not in stored order.
+using NeighborWeights = std::vector<std::pair<VertexId, float>>;
 
 NeighborWeights VertexPairs(const Csr& csr, VertexId v) {
   NeighborWeights pairs;
   const auto neighbors = csr.Neighbors(v);
   const auto weights = csr.Weights(v);
   for (size_t i = 0; i < neighbors.size(); ++i) {
-    pairs.emplace(neighbors[i], weights.empty() ? 1.0f : weights[i]);
+    pairs.emplace_back(neighbors[i], weights.empty() ? 1.0f : weights[i]);
   }
+  std::sort(pairs.begin(), pairs.end());
   return pairs;
 }
 

@@ -390,7 +390,7 @@ TEST(ShardedAlgoTest, SsspMatchesPlainAdjacency) {
 }
 
 // The owner-partitioned pull gather visits in-neighbors in exactly the order
-// ScanCsrByDestination does, so the ranks must match bit for bit.
+// ScanByDestination does, so the ranks must match bit for bit.
 TEST(ShardedAlgoTest, PagerankPullIsBitIdenticalToPlainPull) {
   const EdgeList graph = TestRmat(10);
   PagerankOptions options;

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "src/algos/reference.h"
 #include "src/algos/spmv.h"
@@ -30,12 +31,12 @@ void ExpectNear(const std::vector<float>& got, const std::vector<float>& expecte
   }
 }
 
-using SpmvParam = std::tuple<Layout, Direction, Sync>;
+using SpmvParam = std::tuple<Layout, Direction, Sync, Balance>;
 
 class SpmvConfigTest : public ::testing::TestWithParam<SpmvParam> {};
 
 TEST_P(SpmvConfigTest, MatchesReference) {
-  const auto [layout, direction, sync] = GetParam();
+  const auto [layout, direction, sync, balance] = GetParam();
   RmatOptions options;
   options.scale = 10;
   EdgeList graph = GenerateRmat(options);
@@ -48,27 +49,90 @@ TEST_P(SpmvConfigTest, MatchesReference) {
   config.layout = layout;
   config.direction = direction;
   config.sync = sync;
+  config.balance = balance;
   const SpmvResult result = RunSpmv(handle, x, config);
   ExpectNear(result.y, expected);
   EXPECT_EQ(result.stats.iterations, 1);  // single pass by definition
 }
 
+// Every layout with each of its synchronization forms (sharded applies are
+// owner-exclusive, so only lock-free applies there), under both balance
+// modes.
+std::vector<SpmvParam> SpmvCells() {
+  const std::tuple<Layout, Direction, Sync> cells[] = {
+      {Layout::kEdgeArray, Direction::kPush, Sync::kAtomics},
+      {Layout::kEdgeArray, Direction::kPush, Sync::kLocks},
+      {Layout::kAdjacency, Direction::kPush, Sync::kAtomics},
+      {Layout::kAdjacency, Direction::kPush, Sync::kLocks},
+      {Layout::kAdjacency, Direction::kPull, Sync::kLockFree},
+      {Layout::kCompressed, Direction::kPush, Sync::kAtomics},
+      {Layout::kCompressed, Direction::kPush, Sync::kLocks},
+      {Layout::kCompressed, Direction::kPull, Sync::kLockFree},
+      {Layout::kGrid, Direction::kPush, Sync::kAtomics},
+      {Layout::kGrid, Direction::kPush, Sync::kLocks},
+      {Layout::kGrid, Direction::kPull, Sync::kLockFree},
+      {Layout::kSharded, Direction::kPush, Sync::kLockFree},
+      {Layout::kSharded, Direction::kPull, Sync::kLockFree},
+  };
+  std::vector<SpmvParam> params;
+  for (const Balance balance : {Balance::kEdge, Balance::kVertex}) {
+    for (const auto& [layout, direction, sync] : cells) {
+      params.emplace_back(layout, direction, sync, balance);
+    }
+  }
+  return params;
+}
+
+// Edge-balanced cells (the RunConfig default) keep the bare
+// layout_direction_sync name; vertex-balanced cells add a suffix.
 INSTANTIATE_TEST_SUITE_P(
-    Configs, SpmvConfigTest,
-    ::testing::Values(SpmvParam{Layout::kEdgeArray, Direction::kPush, Sync::kAtomics},
-                      SpmvParam{Layout::kEdgeArray, Direction::kPush, Sync::kLocks},
-                      SpmvParam{Layout::kAdjacency, Direction::kPush, Sync::kAtomics},
-                      SpmvParam{Layout::kAdjacency, Direction::kPush, Sync::kLocks},
-                      SpmvParam{Layout::kAdjacency, Direction::kPull, Sync::kLockFree},
-                      SpmvParam{Layout::kGrid, Direction::kPush, Sync::kLocks},
-                      SpmvParam{Layout::kGrid, Direction::kPull, Sync::kLockFree}),
+    Configs, SpmvConfigTest, ::testing::ValuesIn(SpmvCells()),
     [](const ::testing::TestParamInfo<SpmvParam>& info) {
       std::string name = std::string(LayoutName(std::get<0>(info.param))) + "_" +
                          DirectionName(std::get<1>(info.param)) + "_" +
                          SyncName(std::get<2>(info.param));
+      if (std::get<3>(info.param) == Balance::kVertex) {
+        name += "_vertex_balanced";
+      }
       std::replace(name.begin(), name.end(), '-', '_');
       return name;
     });
+
+// The adjacency, compressed and sharded pulls run one gather body in the
+// same per-destination order (ascending on the compressed CSR, so the plain
+// in-lists are sorted here to match), under either balance mode: their
+// float sums must agree bit for bit. The graph is unweighted because the
+// stored order of parallel edges, and so of their weights, is not part of
+// any layout's contract; with unit weights parallel edges add equal terms.
+TEST(Spmv, PullIsBitIdenticalAcrossLayoutsAndBalance) {
+  RmatOptions options;
+  options.scale = 10;
+  GraphHandle handle(GenerateRmat(options));
+  PrepareConfig prepare;
+  prepare.need_out = true;
+  prepare.need_in = true;
+  prepare.sort_neighbors = true;
+  handle.Prepare(prepare);
+  const std::vector<float> x = RandomVector(handle.num_vertices(), 7);
+
+  RunConfig config;
+  config.direction = Direction::kPull;
+  config.sync = Sync::kLockFree;
+  config.balance = Balance::kVertex;
+  const std::vector<float> expected = RunSpmv(handle, x, config).y;
+  for (const Layout layout : {Layout::kAdjacency, Layout::kCompressed, Layout::kSharded}) {
+    for (const Balance balance : {Balance::kVertex, Balance::kEdge}) {
+      config.layout = layout;
+      config.balance = balance;
+      const std::vector<float> y = RunSpmv(handle, x, config).y;
+      ASSERT_EQ(y.size(), expected.size());
+      for (size_t v = 0; v < y.size(); ++v) {
+        ASSERT_EQ(y[v], expected[v])
+            << LayoutName(layout) << "/" << BalanceName(balance) << " vertex " << v;
+      }
+    }
+  }
+}
 
 TEST(Spmv, UnweightedCountsInNeighbors) {
   // With x = all ones and unit weights, y[v] = in-degree(v).
