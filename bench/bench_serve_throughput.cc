@@ -1,24 +1,21 @@
 // Serving throughput: queries/second of a QuerySession over one frozen
-// Twitter-proxy R-MAT handle, as session concurrency grows 1 -> 16, in both
-// execution modes:
+// Twitter-proxy R-MAT handle, as session concurrency grows 1 -> 16. Each
+// worker owns a private ExecutionContext and sweeps the whole graph
+// independently; cells are named "serve batch cN" (N = concurrency) for the
+// 24-query batch every cell serves.
 //
-//   isolated — each worker owns a private ExecutionContext and sweeps the
-//   whole graph independently (PR-5 behaviour; cells keep their historical
-//   "serve batch cN" names so baselines stay comparable),
-//   batched  — the fork-processing scheduler drains one LLC-sized CSR
-//   partition across all in-flight queries before advancing.
+// Beside throughput, every cell records per-query p50 and p95 latency in
+// BENCH_*.json. The bench double-checks correctness while it measures:
+// every cell must reproduce the checksums of the concurrency-1 reference
+// bit-identically.
 //
-// Beside throughput, every (mode, concurrency) cell records per-query p50
-// and p95 latency, making the batching trade-off (throughput up, tail
-// latency?) visible in BENCH_*.json. The bench double-checks correctness
-// while it measures: every cell — batched included — must reproduce the
-// checksums of the isolated concurrency-1 reference bit-identically.
-//
-// Wall-clock cache effects are invisible at bench scale on a shared CI box,
-// so the LLC claim is gated deterministically instead: a cachesim replay of
-// 8 concurrent sweeps (isolated interleaving vs partition-lockstep over the
-// same boundaries the scheduler would pick) must show fewer misses batched
-// than isolated. The replay is single-core and seeded — the gate is hard.
+// The fork-processing pattern ("Cache-Efficient Fork-Processing Patterns",
+// PAPERS.md) is kept as a deterministic cachesim replay: 8 concurrent
+// sweeps interleaved as isolated workers vs advanced partition-lockstep
+// over LLC-sized ranges must show fewer simulated misses lockstep. The
+// replay is single-core and seeded — the gate is hard. (An executor built
+// on that schedule lost to isolated sessions on the wall clock at every
+// concurrency; see EXPERIMENTS.md.)
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -31,7 +28,6 @@
 #include "src/cachesim/trace.h"
 #include "src/engine/graph_handle.h"
 #include "src/obs/request_trace.h"
-#include "src/serve/batch_scheduler.h"
 #include "src/serve/query_session.h"
 #include "src/util/rng.h"
 #include "src/util/table.h"
@@ -39,8 +35,8 @@
 namespace {
 
 // Acceptance gate: every served result must carry a complete lifecycle
-// trace whose phase breakdown (admission + queue + cohort + execute) sums
-// to the measured total within 5%, in both execution modes.
+// trace whose phase breakdown (admission + queue + dispatch + execute) sums
+// to the measured total within 5%.
 bool TraceIsConsistent(const egraph::serve::ServeResult& result) {
   const egraph::obs::RequestTrace& trace = result.trace;
   if (!trace.Complete()) {
@@ -80,8 +76,9 @@ int main() {
   using namespace egraph::bench;
   PrintBanner("Serve throughput: concurrent QuerySessions on one frozen handle",
               "isolated qps rises with concurrency 1 -> 4 (needs >= 4 hardware "
-              "threads); checksums identical across every concurrency and mode; "
-              "batched replay shows fewer simulated LLC misses than isolated at c8",
+              "threads); checksums identical across every concurrency; "
+              "partition-lockstep replay shows fewer simulated LLC misses than "
+              "isolated sweeps at c8",
               "twitter-proxy rmat at EG_SCALE, symmetrized + weighted");
 
   EdgeList graph = Twitter();
@@ -93,9 +90,8 @@ int main() {
   GraphHandle handle(std::move(graph));
 
   // The query mix covers all four kernels: BFS / SSSP from a spread of
-  // sources, pull-direction PageRank (the batchable variant), and WCC.
-  // Sources, counts and configs are identical across every cell so the
-  // batches are comparable.
+  // sources, pull-direction PageRank, and WCC. Sources, counts and configs
+  // are identical across every cell so the batches are comparable.
   RunConfig config;
   config.layout = Layout::kAdjacency;
   config.direction = Direction::kPush;
@@ -138,25 +134,12 @@ int main() {
   std::vector<double> isolated_qps;
   bool checksums_match = true;
 
-  struct Level {
-    serve::ExecutionMode mode;
-    int concurrency;
-  };
-  const std::vector<Level> levels = {
-      {serve::ExecutionMode::kIsolated, 1},  {serve::ExecutionMode::kIsolated, 2},
-      {serve::ExecutionMode::kIsolated, 4},  {serve::ExecutionMode::kIsolated, 8},
-      {serve::ExecutionMode::kIsolated, 16}, {serve::ExecutionMode::kBatched, 4},
-      {serve::ExecutionMode::kBatched, 8},   {serve::ExecutionMode::kBatched, 16},
-  };
+  const std::vector<int> levels = {1, 2, 4, 8, 16};
 
-  Table table({"mode", "concurrency", "dataset", "batch wall", "queries/s", "p50", "p95",
+  Table table({"concurrency", "dataset", "batch wall", "queries/s", "p50", "p95",
                "checksums"});
-  for (const Level& level : levels) {
-    const bool batched = level.mode == serve::ExecutionMode::kBatched;
-    // Historical cell name: "serve batch cN" = the isolated 24-query batch.
-    const std::string cell_base = batched
-                                      ? "serve batched c" + std::to_string(level.concurrency)
-                                      : "serve batch c" + std::to_string(level.concurrency);
+  for (const int concurrency : levels) {
+    const std::string cell_base = "serve batch c" + std::to_string(concurrency);
     double last_wall = 0.0;
     double last_qps = 0.0;
     double last_p50 = 0.0;
@@ -164,8 +147,7 @@ int main() {
     bool level_match = true;
     for (int rep = 0; rep < kReps; ++rep) {
       serve::QuerySessionOptions options;
-      options.mode = level.mode;
-      options.concurrency = level.concurrency;
+      options.concurrency = concurrency;
       options.threads_per_query = 1;
       options.queue_capacity = queries.size();
       serve::QuerySession session(handle, options);
@@ -207,16 +189,14 @@ int main() {
       RecordResult(cell_base + " p95", last_p95, dataset);
     }
     checksums_match &= level_match;
-    if (!batched) {
-      isolated_qps.push_back(last_qps);
-    }
+    isolated_qps.push_back(last_qps);
     char wall[32], qps[32], p50[32], p95[32];
     std::snprintf(wall, sizeof(wall), "%.4fs", last_wall);
     std::snprintf(qps, sizeof(qps), "%.1f", last_qps);
     std::snprintf(p50, sizeof(p50), "%.4fs", last_p50);
     std::snprintf(p95, sizeof(p95), "%.4fs", last_p95);
-    table.AddRow({batched ? "batched" : "isolated", std::to_string(level.concurrency),
-                  dataset, wall, qps, p50, p95, level_match ? "match" : "MISMATCH"});
+    table.AddRow({std::to_string(concurrency), dataset, wall, qps, p50, p95,
+                  level_match ? "match" : "MISMATCH"});
   }
   table.Print("serve throughput (24-query batch: 6 bfs + 6 sssp + 6 pagerank + 6 wcc)");
 
@@ -245,9 +225,8 @@ int main() {
   // --- Deterministic LLC gate (cachesim replay, 8 concurrent sweeps) ------
   //
   // The simulated LLC is sized well below the CSR (a quarter of it, floored
-  // at 256 KiB) so the working set genuinely does not fit — the regime the
-  // fork-processing scheduler targets. Partition boundaries come from the
-  // very partitioner the batched session uses against this LLC size.
+  // at 32 KiB) so the working set genuinely does not fit — the regime the
+  // fork-processing pattern targets. Partitions are sized to that LLC.
   {
     constexpr int kSimQueries = 8;
     constexpr uint32_t kMetaBytes = 4;  // one 4-byte vertex value per query
@@ -260,7 +239,7 @@ int main() {
     CacheConfig cache_config;
     cache_config.size_bytes = llc_bytes;
     const std::vector<VertexId> boundaries =
-        serve::ComputeLlcPartitionBoundaries(out, llc_bytes);
+        ComputeLlcPartitionBoundaries(out, llc_bytes);
 
     CacheModel isolated_cache(cache_config);
     TraceServeIsolated(isolated_cache, out, kSimQueries, kMetaBytes,
@@ -291,8 +270,8 @@ int main() {
 
     if (batched_cache.misses() >= isolated_cache.misses()) {
       std::fprintf(stderr,
-                   "serve bench: FAIL - batched replay missed %lld times vs isolated "
-                   "%lld; partition batching lost its cache advantage\n",
+                   "serve bench: FAIL - lockstep replay missed %lld times vs isolated "
+                   "%lld; partition lockstep lost its cache advantage\n",
                    static_cast<long long>(batched_cache.misses()),
                    static_cast<long long>(isolated_cache.misses()));
       return 1;

@@ -7,15 +7,11 @@ void PrepareForRun(GraphHandle& handle, const RunConfig& config) {
   prepare.layout = config.layout;
   prepare.method = config.method;
   prepare.symmetric_input = config.symmetric_input;
-  if (config.layout == Layout::kAdjacency || config.layout == Layout::kCompressed ||
-      config.layout == Layout::kSharded) {
+  if (config.layout == Layout::kAdjacency || config.layout == Layout::kCompressed) {
     prepare.need_out =
         config.direction == Direction::kPush || config.direction == Direction::kPushPull;
     prepare.need_in =
         config.direction == Direction::kPull || config.direction == Direction::kPushPull;
-  }
-  if (config.layout == Layout::kSharded) {
-    prepare.num_shards = config.shards;
   }
   handle.Prepare(prepare);
 }

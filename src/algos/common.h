@@ -29,8 +29,6 @@ struct RunConfig {
   // The handle's edge list is already symmetric (undirected): pull and
   // push-pull reuse the out-CSR as the in-CSR (paper section 6.1.3).
   bool symmetric_input = false;
-  // For kSharded: shard count; 0 lets the handle pick two per worker.
-  int shards = 0;
 };
 
 struct AlgoStats {

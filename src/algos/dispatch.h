@@ -18,10 +18,9 @@
 //       One all-active pass (PageRank, SpMV). Push-style layouts feed every
 //       edge to an accumulator with the functor's Update/UpdateAtomic
 //       halves; the dispatcher wraps Update in the striped lock, calls
-//       UpdateAtomic, or calls Update bare under ownership (grid columns,
-//       shards). Pull runs the one per-destination gather body on the
-//       plain, compressed or sharded in-lists, in the same order on all
-//       three.
+//       UpdateAtomic, or calls Update bare under ownership (grid columns).
+//       Pull runs the one per-destination gather body on the plain or
+//       compressed in-lists, in the same order on both.
 #ifndef SRC_ALGOS_DISPATCH_H_
 #define SRC_ALGOS_DISPATCH_H_
 
@@ -30,7 +29,6 @@
 #include "src/algos/common.h"
 #include "src/engine/edge_map.h"
 #include "src/engine/scan.h"
-#include "src/shard/edge_map_sharded.h"
 #include "src/util/spinlock.h"
 #include "src/util/timer.h"
 
@@ -72,11 +70,6 @@ EdgeMapResult EdgeMap(GraphHandle& handle, const RunConfig& config, ExecutionCon
     case Layout::kCompressed:
       return {pull ? EdgeMapCsrPull(handle.compressed_in(), frontier, func, options)
                    : EdgeMapCsrPush(handle.compressed_out(), frontier, func, options),
-              used};
-    case Layout::kSharded:
-      return {pull ? EdgeMapShardedPull(handle.in_csr(), handle.sharded(), frontier, func, options)
-                   : EdgeMapShardedPush(handle.out_csr(), handle.sharded(), frontier, func,
-                                        options),
               used};
     case Layout::kAdjacency:
     default:
@@ -120,7 +113,6 @@ void RunFrontierRounds(GraphHandle& handle, const RunConfig& config, ExecutionCo
 template <typename Acc, typename Gather>
 void DenseScan(GraphHandle& handle, const RunConfig& config, Acc& acc, Gather&& gather) {
   StripedLocks& locks = handle.locks();
-  auto owned = [&acc](VertexId src, VertexId dst, float w) { acc.Update(src, dst, w); };
   // Runs `scan` with the synchronized form config.sync selects.
   auto synchronized = [&](auto&& scan) {
     if (config.sync == Sync::kLocks) {
@@ -156,19 +148,12 @@ void DenseScan(GraphHandle& handle, const RunConfig& config, Acc& acc, Gather&& 
       if (config.sync == Sync::kLockFree) {
         // Column ownership: all writes to a destination block come from one
         // thread (paper section 6.1.2).
-        ScanGridColumnOwned(handle.grid(), owned);
+        ScanGridColumnOwned(handle.grid(), [&acc](VertexId src, VertexId dst, float w) {
+          acc.Update(src, dst, w);
+        });
       } else {
         synchronized(
             [&](auto&& body) { ScanGridRowMajor(handle.grid(), config.balance, body); });
-      }
-      break;
-    case Layout::kSharded:
-      if (pull) {
-        ShardScanByDestination(handle.in_csr(), handle.sharded(), gather);
-      } else {
-        // Shard ownership makes every apply exclusive in both phases; remote
-        // contributions ride the aggregation buffers.
-        ShardScanBySource(handle.out_csr(), handle.sharded(), owned);
       }
       break;
   }

@@ -1,6 +1,10 @@
-// The EdgeMap functors of the frontier algorithms, shared by their isolated
-// runs (RunBfs, RunSssp, RunWcc) and the serve layer's batched runs, so both
-// relax with exactly the same code. Contract: src/engine/edge_map.h.
+// The EdgeMap functors of the frontier algorithms (RunBfs, RunSssp, RunWcc).
+// Contract: src/engine/edge_map.h.
+//
+// Update() is the only writer of dst (pull, striped lock, grid column), but
+// other threads may read the same slot meanwhile: as a source of their own
+// relaxation, or through an unlocked Cond(). So Update() reads and writes
+// dst with relaxed atomics as well; on x86 they compile to plain moves.
 #ifndef SRC_ALGOS_FUNCTORS_H_
 #define SRC_ALGOS_FUNCTORS_H_
 
@@ -16,8 +20,8 @@ struct BfsFunctor {
   VertexId* parent;
 
   bool Update(VertexId src, VertexId dst, float /*weight*/) {
-    if (parent[dst] == kInvalidVertex) {
-      parent[dst] = src;
+    if (AtomicLoad(&parent[dst]) == kInvalidVertex) {
+      AtomicStore(&parent[dst], src);
       return true;
     }
     return false;
@@ -39,8 +43,8 @@ struct SsspFunctor {
     // concurrently elsewhere: read it atomically (monotone, so any stale
     // value is still a valid upper bound).
     const float candidate = AtomicLoad(&dist[src]) + weight;
-    if (candidate < dist[dst]) {
-      dist[dst] = candidate;
+    if (candidate < AtomicLoad(&dist[dst])) {
+      AtomicStore(&dist[dst], candidate);
       return true;
     }
     return false;
@@ -61,8 +65,8 @@ struct WccFunctor {
     // dst is exclusively owned; src's label may shrink concurrently, so read
     // it atomically (any stale value is still a member of the component).
     const VertexId src_label = AtomicLoad(&label[src]);
-    if (src_label < label[dst]) {
-      label[dst] = src_label;
+    if (src_label < AtomicLoad(&label[dst])) {
+      AtomicStore(&label[dst], src_label);
       return true;
     }
     return false;

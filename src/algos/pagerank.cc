@@ -41,8 +41,7 @@ PagerankResult RunPagerank(GraphHandle& handle, const PagerankOptions& options,
   // no pre-processing, so everything it needs beyond the raw input counts
   // as computation (consistent with the paper's 0.0s pre-processing rows).
   std::vector<uint32_t> degree;
-  if (handle.has_out_csr() &&
-      (config.layout == Layout::kAdjacency || config.layout == Layout::kSharded)) {
+  if (handle.has_out_csr() && config.layout == Layout::kAdjacency) {
     degree.resize(n);
     const Csr& out = handle.out_csr();
     VertexMap(n, [&](VertexId v) { degree[v] = out.Degree(v); });
@@ -64,8 +63,7 @@ PagerankResult RunPagerank(GraphHandle& handle, const PagerankOptions& options,
     trace.BeginIteration(n, /*frontier_sparse=*/false);
     // Per-vertex contribution; dangling vertices spread their mass uniformly.
     // The deterministic reduction keeps the dangling mass — and therefore the
-    // whole rank sequence — bit-identical across pool sizes, so the serve
-    // layer can cross-check isolated and batched executions exactly.
+    // whole rank sequence — bit-identical across pool sizes.
     double dangling = ParallelReduceSumDeterministic<double>(0, static_cast<int64_t>(n),
                                                              [&](int64_t v) {
       if (degree[static_cast<size_t>(v)] == 0) {
@@ -82,8 +80,8 @@ PagerankResult RunPagerank(GraphHandle& handle, const PagerankOptions& options,
       next[v] = 0.0f;
     });
 
-    // One gather body serves the adjacency, compressed and sharded pulls:
-    // each visits a destination's in-neighbors in the same order (ascending
+    // One gather body serves the adjacency and compressed pulls: each
+    // visits a destination's in-neighbors in the same order (ascending
     // on the compressed CSR, hence matching a sorted plain CSR), so their
     // ranks match bit for bit.
     RankAccumulator acc{next.data(), contrib.data()};

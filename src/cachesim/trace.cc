@@ -4,6 +4,9 @@
 #include <bit>
 #include <vector>
 
+#include "src/layout/range_partition.h"
+#include "src/util/parallel.h"
+
 namespace egraph {
 namespace {
 
@@ -16,6 +19,19 @@ constexpr uint64_t kNeighborsBase = 0x40'0000'0000ULL;
 constexpr uint64_t kScratchBase = 0x50'0000'0000ULL;
 constexpr uint64_t kCursorBase = 0x60'0000'0000ULL;
 constexpr uint64_t kHeapBase = 0x1000'0000'0000ULL;
+
+// Per-vertex state bytes a resident partition drags along beside its CSR
+// slice: the queries' 4-byte vertex values (parent / dist / label / rank)
+// plus frontier bookkeeping, for a handful of concurrent queries. A rough
+// constant on purpose — undersizing partitions costs a little scheduling
+// overhead, oversizing them forfeits the cache residency.
+constexpr uint64_t kStateBytesPerVertex = 24;
+
+// Shard-aggregation replays: 4-byte vertex state, 16-byte buffered updates
+// ({src, dst, weight, pad}: 4 per line) in 4 KiB per-pair batches.
+constexpr uint32_t kPushStateBytes = 4;
+constexpr uint64_t kPushUpdateBytes = 16;
+constexpr uint64_t kPushBatchBytes = 4096;
 
 uint64_t MetaAddr(VertexId v, uint32_t meta_bytes) {
   return kMetaBase + static_cast<uint64_t>(v) * meta_bytes;
@@ -96,6 +112,35 @@ void TraceGridPass(CacheModel& cache, const Grid& grid, uint32_t meta_bytes) {
   }
 }
 
+std::vector<VertexId> ComputeLlcPartitionBoundaries(const Csr& out, uint64_t cache_bytes) {
+  const VertexId n = out.num_vertices();
+  if (n == 0) {
+    return {0, 0};
+  }
+  const uint64_t edge_bytes = out.has_weights() ? 8 : 4;
+  const auto& offsets = out.offsets();
+  // Resident bytes of the vertex prefix [0, v): its CSR slice plus
+  // per-query vertex state. Monotone, so it doubles as the cost prefix the
+  // balanced partitioner binary-searches.
+  auto pos = [&offsets, edge_bytes](int64_t v) {
+    return static_cast<uint64_t>(offsets[static_cast<size_t>(v)]) * edge_bytes +
+           static_cast<uint64_t>(v) * kStateBytesPerVertex;
+  };
+  const uint64_t total = pos(static_cast<int64_t>(n));
+  // Target half the LLC per partition: the other half absorbs the queries'
+  // own frontier traffic and whatever else the machine is doing.
+  const uint64_t budget = std::max<uint64_t>(cache_bytes / 2, 1);
+  int64_t parts = static_cast<int64_t>((total + budget - 1) / budget);
+  parts = std::clamp<int64_t>(parts, 1, static_cast<int64_t>(n));
+  const std::vector<int64_t> bounds =
+      BalancedChunkBoundaries(static_cast<int64_t>(n), parts, pos);
+  std::vector<VertexId> boundaries(bounds.size());
+  for (size_t i = 0; i < bounds.size(); ++i) {
+    boundaries[i] = static_cast<VertexId>(bounds[i]);
+  }
+  return boundaries;
+}
+
 void TraceServeIsolated(CacheModel& cache, const Csr& out, int num_queries,
                         uint32_t meta_bytes, VertexId chunk_vertices) {
   const VertexId n = out.num_vertices();
@@ -148,6 +193,49 @@ void TraceServeBatched(CacheModel& cache, const Csr& out, int num_queries,
   for (size_t p = 0; p + 1 < boundaries.size(); ++p) {
     for (int q = 0; q < num_queries; ++q) {
       ServeSweepRange(cache, out, q, meta_bytes, boundaries[p], boundaries[p + 1]);
+    }
+  }
+}
+
+void TracePushScatterWrites(CacheModel& cache, const Csr& out) {
+  for (VertexId src = 0; src < out.num_vertices(); ++src) {
+    for (const VertexId dst : out.Neighbors(src)) {
+      cache.Access(MetaAddr(dst, kPushStateBytes));
+    }
+  }
+}
+
+void TracePushAggregatedWrites(CacheModel& cache, const Csr& out,
+                               const std::vector<VertexId>& shard_bounds) {
+  const size_t shards = shard_bounds.size() - 1;
+  auto batch_address = [](size_t pair, uint64_t index) {
+    return kScratchBase + static_cast<uint64_t>(pair) * kPushBatchBytes +
+           (index * kPushUpdateBytes) % kPushBatchBytes;
+  };
+  std::vector<std::vector<VertexId>> pending(shards * shards);
+  for (size_t s = 0; s < shards; ++s) {
+    for (VertexId src = shard_bounds[s]; src < shard_bounds[s + 1]; ++src) {
+      for (const VertexId dst : out.Neighbors(src)) {
+        const size_t t = static_cast<size_t>(RangeOwner(shard_bounds, dst));
+        if (t == s) {
+          cache.Access(MetaAddr(dst, kPushStateBytes));
+          continue;
+        }
+        std::vector<VertexId>& batch = pending[s * shards + t];
+        cache.AccessRange(batch_address(s * shards + t, batch.size()), kPushUpdateBytes);
+        batch.push_back(dst);
+      }
+    }
+  }
+  // Drain: each owner shard reads its inbound batches in order and applies
+  // the writes inside its own range.
+  for (size_t t = 0; t < shards; ++t) {
+    for (size_t s = 0; s < shards; ++s) {
+      const std::vector<VertexId>& batch = pending[s * shards + t];
+      for (size_t i = 0; i < batch.size(); ++i) {
+        cache.AccessRange(batch_address(s * shards + t, i), kPushUpdateBytes);
+        cache.Access(MetaAddr(batch[i], kPushStateBytes));
+      }
     }
   }
 }

@@ -9,11 +9,6 @@ namespace {
 // (paper Table 5/6 distinctions); power-law graphs sit well above this.
 constexpr double kLowDegreeThreshold = 6.0;
 
-// Worker count at which the sharded push substrate overtakes the synchronized
-// adjacency scatter: below this, the two-phase barrier and buffer traffic
-// cost more than the contention they remove.
-constexpr int kShardedWorkerThreshold = 8;
-
 }  // namespace
 
 AlgorithmTraits TraitsBfs() { return {"bfs", false, true, false, false}; }
@@ -51,18 +46,6 @@ Recommendation Advise(const AlgorithmTraits& algorithm, const GraphStats& graph,
       rec.direction = Direction::kPush;
       rec.sync = Sync::kAtomics;
       rec.rationale = "subset-active: adjacency push skips inactive vertices";
-      if (machine.workers >= kShardedWorkerThreshold && !low_degree) {
-        // Many concurrent writers on a dense-degree graph: shard ownership
-        // plus aggregated cross-shard flushes beats the synchronized
-        // scatter, whose random remote writes contend harder as the worker
-        // count grows.
-        rec.layout = Layout::kSharded;
-        rec.sync = Sync::kLockFree;
-        rec.rationale =
-            "subset-active at high worker count: sharded push replaces the "
-            "synchronized scatter with owned applies and aggregated "
-            "cross-shard flushes";
-      }
     }
   } else {
     if (low_degree) {
@@ -94,10 +77,7 @@ Recommendation Advise(const AlgorithmTraits& algorithm, const GraphStats& graph,
   // Memory budget: when the plain adjacency footprint (offsets + neighbor
   // array, doubled for pull's in-CSR) cannot fit, downgrade to compressed
   // adjacency — same kernel contract, smaller resident set.
-  // (The sharded substrate keeps the same plain CSRs resident, so it obeys
-  // the same budget and takes the same downgrade.)
-  if ((rec.layout == Layout::kAdjacency || rec.layout == Layout::kSharded) &&
-      machine.memory_budget_bytes > 0) {
+  if (rec.layout == Layout::kAdjacency && machine.memory_budget_bytes > 0) {
     uint64_t plain_bytes =
         static_cast<uint64_t>(graph.num_vertices + 1) * sizeof(uint64_t) +
         static_cast<uint64_t>(graph.num_edges) * sizeof(VertexId);

@@ -36,10 +36,9 @@ struct MachineTraits {
   // the advisor downgrades it to the compressed layout, trading decode time
   // for memory (the paper's pre-processing-vs-memory currency).
   uint64_t memory_budget_bytes = 0;
-  // Worker threads the run will use; 0 means unknown. At high worker counts
-  // an adjacency-push recommendation upgrades to the sharded substrate:
-  // aggregated cross-shard flushes replace the striped-lock/atomic scatter
-  // whose contention grows with the writer count.
+  // Worker threads the run will use; 0 means unknown. No recommendation
+  // depends on it: no layout measured faster at high worker counts on the
+  // wall clock (EXPERIMENTS.md, deviation 4).
   int workers = 0;
 };
 

@@ -9,16 +9,13 @@
 //   kernel                input                        direction
 //   EdgeMapCsrPush        out-lists (any NeighborRange)  push, sparse output
 //   EdgeMapCsrPull        in-lists (any NeighborRange)   pull, dense output
-//   EdgeMapShardedPush    sharded out-CSR                push, two-phase
-//   EdgeMapShardedPull    sharded in-CSR                 pull over shard ranges
 //   EdgeMapEdgeArray      edge list                      full edge scan
 //   EdgeMapGrid           grid                           full cell scan
 //
-// The push body (PushActive) and the pull body (PullDestinations) are each
+// The push body (PushActive) and the pull body (PullChunk) are each
 // written once against the NeighborRange concept (neighbor_range.h), which
 // the plain CSR (through its weight-specialized view) and the compressed CSR
-// both model; the sharded pull runs the same pull body over shard ranges.
-// EdgeMapCsrPushScoped is the serve batch scheduler's partition-slice push.
+// both model.
 //
 // The functor contract is Ligra-style:
 //
@@ -207,9 +204,7 @@ inline void PushSlice(const Range& out, VertexId src, uint64_t j_lo, uint64_t j_
 
 // Core of the push kernel: relaxes the out-edges of `active` under the
 // selected balance mode, marking discoveries in `next` and appending them to
-// per-worker `buffers`. Shared by EdgeMapCsrPush (which owns the round
-// bitmap) and EdgeMapCsrPushScoped (where the caller owns it across several
-// calls in one round).
+// per-worker `buffers`.
 template <NeighborRange Range, typename F>
 void PushActive(const Range& out, std::span<const VertexId> active, F& func,
                 const EdgeMapOptions& options, Bitmap& next,
@@ -284,25 +279,20 @@ void PushActive(const Range& out, std::span<const VertexId> active, F& func,
   });
 }
 
-// What one pull chunk did: destinations that joined the next frontier,
-// in-edges probed, successful updates.
-struct PullTally {
-  int64_t discovered = 0;
-  int64_t scanned = 0;
-  int64_t relaxed = 0;
-};
-
-// Core of the pull kernels: gathers every destination in [lo, hi) that
+// One pull chunk over destinations [lo, hi): gathers every destination that
 // satisfies Cond from its in-neighbors present in the frontier, and stops a
 // destination early once Cond turns false (paper section 6.1.1: "the pull
 // approach allows stopping the computation for a vertex in the middle of an
 // iteration"). The frontier membership test is word-batched: one bitmap
 // word load covers up to 64 consecutive sources (sorted adjacency makes
 // consecutive hits the common case). Each destination has one writer, so
-// plain Update suffices.
+// plain Update suffices. Records the worker's discoveries and publishes the
+// edge counters.
 template <NeighborRange Range, typename F>
-PullTally PullDestinations(const Range& in, const Bitmap& active_bits, F& func, int64_t lo,
-                           int64_t hi, Bitmap& next) {
+void PullChunk(const Range& in, const Bitmap& active_bits, F& func, int64_t lo, int64_t hi,
+               int worker, DenseOutput& output) {
+  const uint64_t span_start = obs::TimelineNow();
+  Bitmap& next = output.next();
   int64_t discovered = 0;
   int64_t scanned = 0;
   int64_t relaxed = 0;
@@ -335,22 +325,11 @@ PullTally PullDestinations(const Range& in, const Bitmap& active_bits, F& func, 
       ++discovered;
     }
   }
-  return {discovered, scanned, relaxed};
-}
-
-// One timed pull chunk over destinations [lo, hi): runs the shared pull
-// body, records the worker's discoveries and publishes the edge counters.
-template <NeighborRange Range, typename F>
-PullTally PullChunk(const Range& in, const Bitmap& active_bits, F& func, int64_t lo, int64_t hi,
-                    int worker, DenseOutput& output) {
+  output.Add(worker, discovered);
   obs::EngineCounters& metrics = obs::EngineCounters::Get();
-  const uint64_t span_start = obs::TimelineNow();
-  const PullTally tally = PullDestinations(in, active_bits, func, lo, hi, output.next());
-  output.Add(worker, tally.discovered);
-  metrics.edges_scanned.Add(tally.scanned);
-  metrics.edges_relaxed.Add(tally.relaxed);
-  obs::TimelineEndSpan("engine", "edgemap.chunk", span_start, tally.scanned);
-  return tally;
+  metrics.edges_scanned.Add(scanned);
+  metrics.edges_relaxed.Add(relaxed);
+  obs::TimelineEndSpan("engine", "edgemap.chunk", span_start, scanned);
 }
 
 }  // namespace edge_map_internal
@@ -411,54 +390,6 @@ Frontier EdgeMapCsrPull(const Graph& in, Frontier& frontier, F& func,
     }
   });
   return output.Finish();
-}
-
-// --- Partition-scoped push (serve-layer batch scheduler) -------------------
-//
-// The fork-processing batch scheduler drains one LLC-sized partition across
-// all in-flight queries before advancing, so it pushes over `active` (a
-// per-partition slice of one query's frontier) with a caller-owned dedup
-// bitmap shared across the partitions of one query round: a destination
-// relaxed from two partitions still enters the next frontier exactly once.
-// The bitmap is NOT cleared here — the caller clears it once per query
-// round, after all partitions have run. Newly discovered destinations are
-// appended to `discovered`. Called from inside a parallel region (the
-// scheduler's (query, partition) task loop) the whole slice runs serially
-// on the calling worker, matching the thread pool's nested-call contract;
-// at top level it uses the same balanced machinery as EdgeMapCsrPush.
-template <typename F>
-void EdgeMapCsrPushScoped(const Csr& out, std::span<const VertexId> active, F& func,
-                          const EdgeMapOptions& options, Bitmap& dedup,
-                          std::vector<VertexId>& discovered) {
-  if (active.empty()) {
-    return;
-  }
-  obs::EngineCounters& metrics = obs::EngineCounters::Get();
-  metrics.edgemap_calls.Add(1);
-
-  WithNeighbors(out, [&](const auto& range) {
-    if (ThreadPool::InParallelRegion() || ThreadPool::Current().num_threads() == 1) {
-      edge_map_internal::WithLocksTag(options, [&](auto ltag) {
-        int64_t scanned = 0;
-        int64_t relaxed = 0;
-        for (const VertexId src : active) {
-          const uint64_t degree = range.Degree(src);
-          edge_map_internal::PushSlice<decltype(ltag)::value>(
-              range, src, 0, degree, func, options.locks, dedup, discovered, relaxed);
-          scanned += static_cast<int64_t>(degree);
-        }
-        metrics.edges_scanned.Add(scanned);
-        metrics.edges_relaxed.Add(relaxed);
-      });
-      return;
-    }
-    std::vector<std::vector<VertexId>> buffers(
-        static_cast<size_t>(ThreadPool::Current().num_threads()));
-    edge_map_internal::PushActive(range, active, func, options, dedup, buffers);
-    for (auto& buffer : buffers) {
-      discovered.insert(discovered.end(), buffer.begin(), buffer.end());
-    }
-  });
 }
 
 // --- Edge array (edge-centric: always a full scan; paper section 4.1) ------

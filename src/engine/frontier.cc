@@ -1,7 +1,5 @@
 #include "src/engine/frontier.h"
 
-#include <algorithm>
-
 #include "src/layout/compressed_csr.h"
 #include "src/obs/metrics.h"
 #include "src/obs/timeline.h"
@@ -74,31 +72,6 @@ void Frontier::EnsureSparse() {
   obs::TimelineSpan span("engine", "frontier.to_sparse", count_);
   dense_.ToVector(sparse_);
   has_sparse_ = true;
-}
-
-std::vector<Frontier> Frontier::SplitByRanges(const std::vector<VertexId>& boundaries) {
-  EnsureSparse();
-  const size_t parts = boundaries.size() - 1;
-  std::vector<std::vector<VertexId>> buckets(parts);
-  // Active vertices are grouped per range serially: the caller (batch
-  // scheduler round turnover) is itself inside per-query bookkeeping, and
-  // frontiers here are per-partition-sized, not graph-sized.
-  size_t p = 0;
-  for (const VertexId v : sparse_) {
-    if (v >= boundaries[p] && v < boundaries[p + 1]) {
-      buckets[p].push_back(v);
-      continue;
-    }
-    const auto it = std::upper_bound(boundaries.begin(), boundaries.end(), v);
-    p = static_cast<size_t>(it - boundaries.begin()) - 1;
-    buckets[p].push_back(v);
-  }
-  std::vector<Frontier> result;
-  result.reserve(parts);
-  for (size_t i = 0; i < parts; ++i) {
-    result.push_back(FromVector(num_vertices_, std::move(buckets[i])));
-  }
-  return result;
 }
 
 uint64_t Frontier::WorkEstimate(const Csr& out) {

@@ -49,14 +49,6 @@ class Frontier {
 
   const Bitmap& bitmap() const { return dense_; }
 
-  // Splits the active set by vertex range. `boundaries` has P+1 entries with
-  // boundaries[0] == 0 and boundaries[P] == num_vertices(); partition p owns
-  // [boundaries[p], boundaries[p+1]). Returns P frontiers over the same
-  // vertex space whose active sets partition this frontier's; ranges with no
-  // active vertices yield empty frontiers. The serve-layer batch scheduler
-  // uses this to turn one query frontier into per-LLC-partition work queues.
-  std::vector<Frontier> SplitByRanges(const std::vector<VertexId>& boundaries);
-
   // |F| + sum of out-degrees of F: the quantity Ligra's push-pull heuristic
   // compares against |E| / threshold. The active set never changes after
   // construction, so the sum is computed once per layout and cached —

@@ -65,52 +65,48 @@ void GraphHandle::Prepare(const PrepareConfig& config) {
   // mid-build — it waits for this scope to exit.
   std::shared_lock<std::shared_mutex> build_guard(build_mutex_);
   obs::ScopedPhase phase(obs::Phase::kPreprocess);
-  // Plain-CSR build path, shared by kAdjacency and kSharded (shards index
-  // into the plain CSRs rather than materializing per-shard copies).
-  auto build_adjacency = [&](bool need_out, bool need_in) {
-    if (config.symmetric_input && need_in) {
-      // Undirected input: the incoming lists are the outgoing lists.
-      in_aliases_out_.store(true, std::memory_order_release);
-    }
-    const bool build_out = need_out || (config.symmetric_input && need_in);
-    if (build_out) {
-      std::call_once(once_->out, [&] {
-        if (out_csr_.has_value()) {
-          return;  // installed by InstallCsr; nothing to build
-        }
-        BuildStats stats;
-        out_csr_ = BuildCsr(graph_, EdgeDirection::kOut, config.method, &stats,
-                            config.radix_digit_bits);
-        double seconds = stats.seconds;
-        if (config.sort_neighbors) {
-          seconds += out_csr_->SortNeighborLists();
-        }
-        AddPreprocessSeconds(seconds);
-      });
-    }
-    if (need_in && !config.symmetric_input) {
-      std::call_once(once_->in, [&] {
-        if (in_csr_.has_value()) {
-          return;
-        }
-        BuildStats stats;
-        in_csr_ = BuildCsr(graph_, EdgeDirection::kIn, config.method, &stats,
-                           config.radix_digit_bits);
-        double seconds = stats.seconds;
-        if (config.sort_neighbors) {
-          seconds += in_csr_->SortNeighborLists();
-        }
-        AddPreprocessSeconds(seconds);
-      });
-    }
-  };
   switch (config.layout) {
     case Layout::kEdgeArray:
       // Nothing to build: the input layout is the computation layout.
       break;
-    case Layout::kAdjacency:
-      build_adjacency(config.need_out, config.need_in);
+    case Layout::kAdjacency: {
+      if (config.symmetric_input && config.need_in) {
+        // Undirected input: the incoming lists are the outgoing lists.
+        in_aliases_out_.store(true, std::memory_order_release);
+      }
+      const bool build_out = config.need_out || (config.symmetric_input && config.need_in);
+      if (build_out) {
+        std::call_once(once_->out, [&] {
+          if (out_csr_.has_value()) {
+            return;  // installed by InstallCsr; nothing to build
+          }
+          BuildStats stats;
+          out_csr_ = BuildCsr(graph_, EdgeDirection::kOut, config.method, &stats,
+                              config.radix_digit_bits);
+          double seconds = stats.seconds;
+          if (config.sort_neighbors) {
+            seconds += out_csr_->SortNeighborLists();
+          }
+          AddPreprocessSeconds(seconds);
+        });
+      }
+      if (config.need_in && !config.symmetric_input) {
+        std::call_once(once_->in, [&] {
+          if (in_csr_.has_value()) {
+            return;
+          }
+          BuildStats stats;
+          in_csr_ = BuildCsr(graph_, EdgeDirection::kIn, config.method, &stats,
+                             config.radix_digit_bits);
+          double seconds = stats.seconds;
+          if (config.sort_neighbors) {
+            seconds += in_csr_->SortNeighborLists();
+          }
+          AddPreprocessSeconds(seconds);
+        });
+      }
       break;
+    }
     case Layout::kGrid: {
       std::call_once(once_->grid, [&] {
         if (grid_.has_value()) {
@@ -166,26 +162,6 @@ void GraphHandle::Prepare(const PrepareConfig& config) {
       }
       break;
     }
-    case Layout::kSharded: {
-      // The ownership map sits on top of the plain CSRs: the out-CSR is
-      // always needed (the scatter phase and the shard cost scores both read
-      // it), the in-CSR only when pull or push-pull will run. The partition
-      // cost lands in preprocess_seconds like every other layout build.
-      build_adjacency(/*need_out=*/true, config.need_in);
-      std::call_once(once_->sharded, [&] {
-        if (sharded_.has_value()) {
-          return;
-        }
-        const int shards =
-            config.num_shards > 0
-                ? config.num_shards
-                : ShardedGraph::AutoShards(ThreadPool::Current().num_threads());
-        const Csr* in = config.need_in ? &in_csr() : nullptr;
-        sharded_ = ShardedGraph::Build(out_csr(), in, shards);
-        AddPreprocessSeconds(sharded_->build_seconds());
-      });
-      break;
-    }
   }
 }
 
@@ -226,7 +202,6 @@ void GraphHandle::DropLayouts() {
   grid_.reset();
   compressed_out_.reset();
   compressed_in_.reset();
-  sharded_.reset();
   // Re-arm the call_once guards so the next Prepare builds again.
   once_ = std::make_unique<LayoutOnce>();
 }

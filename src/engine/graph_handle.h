@@ -27,7 +27,6 @@
 #include "src/layout/csr.h"
 #include "src/layout/csr_builder.h"
 #include "src/layout/grid.h"
-#include "src/shard/sharded_graph.h"
 #include "src/util/spinlock.h"
 
 namespace egraph {
@@ -50,9 +49,6 @@ struct PrepareConfig {
   // that "when the graph is undirected ... push-pull induces no extra
   // pre-processing cost" (section 6.1.3).
   bool symmetric_input = false;
-  // For kSharded: shard count; 0 picks ShardedGraph::AutoShards for the
-  // current thread pool (two shards per worker).
-  int num_shards = 0;
 };
 
 class GraphHandle {
@@ -100,7 +96,6 @@ class GraphHandle {
            (in_aliases_out_.load(std::memory_order_acquire) && has_out_csr());
   }
   bool has_grid() const { return grid_.has_value(); }
-  bool has_sharded() const { return sharded_.has_value(); }
   bool has_compressed_out() const { return compressed_out_.has_value(); }
   bool has_compressed_in() const {
     return compressed_in_.has_value() ||
@@ -112,7 +107,6 @@ class GraphHandle {
     return in_aliases_out_.load(std::memory_order_acquire) ? *out_csr_ : *in_csr_;
   }
   const Grid& grid() const { return *grid_; }
-  const ShardedGraph& sharded() const { return *sharded_; }
   const CompressedCsr& compressed_out() const { return *compressed_out_; }
   const CompressedCsr& compressed_in() const {
     return in_aliases_out_.load(std::memory_order_acquire) ? *compressed_out_
@@ -156,7 +150,6 @@ class GraphHandle {
     std::once_flag grid;
     std::once_flag compressed_out;
     std::once_flag compressed_in;
-    std::once_flag sharded;
   };
 
   void CheckBuildPhase(const char* operation) const;
@@ -178,7 +171,6 @@ class GraphHandle {
   std::optional<Grid> grid_;
   std::optional<CompressedCsr> compressed_out_;
   std::optional<CompressedCsr> compressed_in_;
-  std::optional<ShardedGraph> sharded_;
   mutable std::mutex stats_mutex_;  // guards preprocess_seconds_
   double preprocess_seconds_ = 0.0;
   StripedLocks locks_{1 << 14};

@@ -12,8 +12,6 @@ const char* LayoutName(Layout layout) {
       return "grid";
     case Layout::kCompressed:
       return "compressed";
-    case Layout::kSharded:
-      return "sharded";
   }
   return "?";
 }

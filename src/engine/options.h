@@ -16,8 +16,6 @@ enum class Layout {
   kAdjacency,   // vertex-centric; CSR built during pre-processing
   kGrid,        // grid-cell-centric; cache-blocked edge array
   kCompressed,  // vertex-centric over chunked delta-compressed CSR
-  kSharded,     // vertex-centric CSR split into owned shards; cross-shard
-                // updates ride aggregation buffers instead of locks
 };
 
 // Information flow (paper section 6).

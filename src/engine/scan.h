@@ -34,23 +34,6 @@ namespace scan_internal {
 
 inline constexpr int64_t kScanMinChunkCost = 2048;
 
-// Gathers destinations [lo, hi) in ascending order: body(dst, in_edges) once
-// per destination, where in_edges(fn) calls fn(src, weight) for each
-// in-neighbor in stored order. Returns the in-edges visited. Shared by the
-// plain, compressed and sharded pull scans, so a gather body sees the same
-// per-destination order on all three.
-template <NeighborRange Range, typename Body>
-int64_t GatherDestinations(const Range& in, int64_t lo, int64_t hi, Body& body) {
-  int64_t scanned = 0;
-  for (int64_t v = lo; v < hi; ++v) {
-    const VertexId dst = static_cast<VertexId>(v);
-    const uint64_t degree = in.Degree(dst);
-    scanned += static_cast<int64_t>(degree);
-    body(dst, [&in, dst, degree](auto&& fn) { in.ForEachNeighborSlice(dst, 0, degree, fn); });
-  }
-  return scanned;
-}
-
 // Compressed out-CSR scan balanced over *decode chunks*, not vertices, with
 // boundaries from the per-chunk byte prefix: a hub's fixed-size chunks
 // spread across workers for free, no per-vertex prefix sum needed. Each
@@ -152,7 +135,15 @@ void ScanByDestination(const Graph& in, Balance balance, Body&& body) {
   obs::Counter& scanned = obs::EngineCounters::Get().edges_scanned;
   WithNeighbors(in, [&](const auto& range) {
     auto chunk = [&](int64_t lo, int64_t hi, int /*worker*/) {
-      scanned.Add(scan_internal::GatherDestinations(range, lo, hi, body));
+      int64_t local = 0;
+      for (int64_t v = lo; v < hi; ++v) {
+        const VertexId dst = static_cast<VertexId>(v);
+        const uint64_t degree = range.Degree(dst);
+        local += static_cast<int64_t>(degree);
+        body(dst,
+             [&range, dst, degree](auto&& fn) { range.ForEachNeighborSlice(dst, 0, degree, fn); });
+      }
+      scanned.Add(local);
     };
     if (balance == Balance::kEdge) {
       ParallelForBalancedChunks(CostBalancedBounds(range, scan_internal::kScanMinChunkCost),

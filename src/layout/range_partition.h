@@ -10,9 +10,9 @@
 //   in_csr  - the same edges keyed by destination (pull-style gather into
 //             local vertices, e.g. Pagerank)
 //
-// This construction started life in src/numa/ as the simulated-NUMA cost
-// model's substrate; it now lives here so the cost model is one consumer
-// among several (ShardedGraph in src/shard/ is another).
+// Consumers: the simulated-NUMA cost model (src/numa/) builds the full
+// partition; the shard-aggregation cachesim bench cuts its shards with
+// BalancedVertexRanges and RangeOwner alone.
 #ifndef SRC_LAYOUT_RANGE_PARTITION_H_
 #define SRC_LAYOUT_RANGE_PARTITION_H_
 
@@ -32,9 +32,8 @@ enum class RangeCsrs { kOutOnly, kInOnly, kBoth };
 
 // Index of the contiguous range owning vertex v. boundaries is sorted with
 // boundaries.front() == 0 and boundaries.back() == num_vertices; the owner
-// is the last boundary <= v, found by binary search — O(log P) instead of
-// the linear scan this replaced, which sat on the per-edge accounting and
-// per-update sharding hot paths.
+// is the last boundary <= v, found by binary search in O(log P): it sits on
+// per-edge paths.
 inline int RangeOwner(const std::vector<VertexId>& boundaries, VertexId v) {
   return static_cast<int>(
       std::upper_bound(boundaries.begin() + 1, boundaries.end() - 1, v) -

@@ -1,9 +1,7 @@
 // NUMA partitioning (paper section 7.1), expressed over the generic
-// contiguous-range partition in src/layout/range_partition.h. The
-// construction used to live here; it moved to the layout layer when the
-// sharded execution substrate (src/shard/) became a second consumer, so the
-// NUMA cost model is now just one client of BuildRangePartition. This
-// header keeps the node-flavored vocabulary the cost model and benches use.
+// contiguous-range partition in src/layout/range_partition.h (the cost
+// model is a client of BuildRangePartition). This header keeps the
+// node-flavored vocabulary the cost model and benches use.
 #ifndef SRC_NUMA_PARTITION_H_
 #define SRC_NUMA_PARTITION_H_
 

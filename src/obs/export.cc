@@ -23,8 +23,6 @@ const char* LayoutString(Layout layout) {
       return "grid";
     case Layout::kCompressed:
       return "compressed";
-    case Layout::kSharded:
-      return "sharded";
   }
   return "?";
 }

@@ -70,9 +70,13 @@ inline uint64_t NowNs() {
 // their buffers stay exportable). Only the owning thread writes events and
 // bumps size/dropped; size is the release/acquire publication point.
 struct ThreadBuffer {
-  explicit ThreadBuffer(size_t capacity) : events(capacity) {}
+  // Left uninitialized: a page is touched only when an event lands on it, so
+  // registering a thread costs one allocation, not a capacity-sized memset.
+  explicit ThreadBuffer(size_t capacity)
+      : events(std::make_unique_for_overwrite<TimelineEvent[]>(capacity)), capacity(capacity) {}
 
-  std::vector<TimelineEvent> events;  // fixed capacity; never reallocated
+  std::unique_ptr<TimelineEvent[]> events;  // fixed capacity; never reallocated
+  size_t capacity;
   std::atomic<uint64_t> size{0};
   std::atomic<uint64_t> dropped{0};
   std::atomic<int> worker_id{-1};  // pool worker id, -1 for foreign threads
@@ -83,7 +87,8 @@ struct ThreadBuffer {
 struct BufferRegistry {
   std::mutex mutex;
   std::vector<std::unique_ptr<ThreadBuffer>> buffers;
-  size_t capacity = kDefaultEventsPerThread;
+  // Written under `mutex`; read without it by RegisterThisThread.
+  std::atomic<size_t> capacity{kDefaultEventsPerThread};
 };
 
 inline BufferRegistry& GetBufferRegistry() {
@@ -93,10 +98,14 @@ inline BufferRegistry& GetBufferRegistry() {
 
 inline std::atomic<bool> g_timeline_enabled{false};
 
+// The event buffer (~1.5 MB at the default capacity) is allocated before
+// the registry mutex is taken, so threads starting together (a session's
+// workers) do not queue behind each other's allocation.
 inline ThreadBuffer* RegisterThisThread() {
   BufferRegistry& registry = GetBufferRegistry();
+  auto buffer =
+      std::make_unique<ThreadBuffer>(registry.capacity.load(std::memory_order_relaxed));
   std::lock_guard<std::mutex> guard(registry.mutex);
-  auto buffer = std::make_unique<ThreadBuffer>(registry.capacity);
   buffer->tid = static_cast<int>(registry.buffers.size());
   registry.buffers.push_back(std::move(buffer));
   return registry.buffers.back().get();
@@ -114,7 +123,7 @@ inline void Emit(const char* cat, const char* name, uint64_t start_ns,
                  uint64_t dur_ns, int64_t arg, TimelineEventKind kind) {
   ThreadBuffer* buffer = Buffer();
   const uint64_t n = buffer->size.load(std::memory_order_relaxed);
-  if (n >= buffer->events.size()) {
+  if (n >= buffer->capacity) {
     // Bounded: count the drop, never grow (growth would be an allocation on
     // the hot path and would skew exactly the timings being measured).
     buffer->dropped.fetch_add(1, std::memory_order_relaxed);
@@ -150,7 +159,7 @@ class Timeline {
 #if EGRAPH_METRICS
     timeline_internal::BufferRegistry& registry = timeline_internal::GetBufferRegistry();
     std::lock_guard<std::mutex> guard(registry.mutex);
-    registry.capacity = events == 0 ? 1 : events;
+    registry.capacity.store(events == 0 ? 1 : events, std::memory_order_relaxed);
 #else
     (void)events;
 #endif
@@ -193,9 +202,11 @@ class Timeline {
 #if EGRAPH_METRICS
     timeline_internal::BufferRegistry& registry = timeline_internal::GetBufferRegistry();
     std::lock_guard<std::mutex> guard(registry.mutex);
+    const size_t capacity = registry.capacity.load(std::memory_order_relaxed);
     for (auto& buffer : registry.buffers) {
-      if (buffer->events.size() != registry.capacity) {
-        std::vector<TimelineEvent>(registry.capacity).swap(buffer->events);
+      if (buffer->capacity != capacity) {
+        buffer->events = std::make_unique_for_overwrite<TimelineEvent[]>(capacity);
+        buffer->capacity = capacity;
       }
       buffer->size.store(0, std::memory_order_relaxed);
       buffer->dropped.store(0, std::memory_order_relaxed);
@@ -241,10 +252,9 @@ class Timeline {
       snapshot.worker_id = buffer->worker_id.load(std::memory_order_relaxed);
       snapshot.label = buffer->label;
       snapshot.dropped = buffer->dropped.load(std::memory_order_relaxed);
-      snapshot.capacity = buffer->events.size();
+      snapshot.capacity = buffer->capacity;
       const uint64_t n = buffer->size.load(std::memory_order_acquire);
-      snapshot.events.assign(buffer->events.begin(),
-                             buffer->events.begin() + static_cast<int64_t>(n));
+      snapshot.events.assign(buffer->events.get(), buffer->events.get() + n);
       out.push_back(std::move(snapshot));
     }
 #endif

@@ -114,6 +114,25 @@ TEST(Advisor, MemoryBudgetDowngradesAdjacencyToCompressed) {
   EXPECT_EQ(Advise(TraitsBfs(), PowerLawStats(), roomy).layout, Layout::kAdjacency);
 }
 
+TEST(Advisor, WorkerCountNeverPicksAnotherLayout) {
+  // Subset-active algorithms on a dense power-law graph stay on adjacency
+  // push with atomics however many workers run them: the sharded push that
+  // a worker-count rule used to pick measured 2-3x slower for SSSP on the
+  // wall clock (EXPERIMENTS.md).
+  const GraphStats stats = PowerLawStats();
+  ASSERT_GE(stats.avg_degree, 6.0);  // dense: not the low-degree branch
+  for (const int workers : {8, 64}) {
+    MachineTraits machine;
+    machine.workers = workers;
+    for (const AlgorithmTraits& traits : {TraitsBfs(), TraitsSssp()}) {
+      const Recommendation rec = Advise(traits, stats, machine);
+      EXPECT_EQ(rec.layout, Layout::kAdjacency) << traits.name << " at " << workers;
+      EXPECT_EQ(rec.direction, Direction::kPush) << traits.name << " at " << workers;
+      EXPECT_EQ(rec.sync, Sync::kAtomics) << traits.name << " at " << workers;
+    }
+  }
+}
+
 TEST(Advisor, MemoryBudgetCompressedPullStaysLockFree) {
   // Lock removal (step 3) must still apply after the budget downgrade:
   // pull over compressed adjacency has one writer per destination.

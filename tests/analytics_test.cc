@@ -89,8 +89,8 @@ TEST(Diameter, EmptyAndSingleton) {
 struct ReachFunctor {
   uint8_t* visited;
   bool Update(VertexId, VertexId d, float) {
-    if (visited[d] == 0) {
-      visited[d] = 1;
+    if (AtomicLoad(&visited[d]) == 0) {
+      AtomicStore(&visited[d], uint8_t{1});
       return true;
     }
     return false;

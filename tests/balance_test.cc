@@ -17,7 +17,6 @@
 #include "src/engine/execution_context.h"
 #include "src/engine/graph_handle.h"
 #include "src/gen/rmat.h"
-#include "src/shard/edge_map_sharded.h"
 #include "src/util/atomics.h"
 
 namespace egraph {
@@ -26,8 +25,8 @@ namespace {
 struct ReachFunctor {
   uint8_t* visited;
   bool Update(VertexId /*s*/, VertexId d, float) {
-    if (visited[d] == 0) {
-      visited[d] = 1;
+    if (AtomicLoad(&visited[d]) == 0) {
+      AtomicStore(&visited[d], uint8_t{1});
       return true;
     }
     return false;
@@ -76,13 +75,6 @@ Frontier Step(GraphHandle& handle, Layout layout, Direction direction, Frontier&
       return EdgeMapEdgeArray(handle.edges(), frontier, func, options);
     case Layout::kGrid:
       return EdgeMapGrid(handle.grid(), frontier, func, options);
-    case Layout::kSharded:
-      // For sharded, the balance knob only reorders shard tasks (descending
-      // edge mass vs natural order) — ownership forbids splitting a shard.
-      if (direction == Direction::kPull) {
-        return EdgeMapShardedPull(handle.in_csr(), handle.sharded(), frontier, func, options);
-      }
-      return EdgeMapShardedPush(handle.out_csr(), handle.sharded(), frontier, func, options);
   }
   return Frontier::None(handle.num_vertices());
 }
@@ -101,9 +93,8 @@ void ExpectBalanceEquivalence(const EdgeList& graph, const BalanceCell& cell,
   PrepareConfig prepare;
   prepare.layout = cell.layout;
   prepare.need_out = true;
-  prepare.need_in = cell.layout == Layout::kAdjacency ||
-                    cell.layout == Layout::kCompressed ||
-                    cell.layout == Layout::kSharded;
+  prepare.need_in =
+      cell.layout == Layout::kAdjacency || cell.layout == Layout::kCompressed;
   handle.Prepare(prepare);
 
   const VertexId n = handle.num_vertices();
@@ -151,9 +142,6 @@ std::vector<BalanceCell> AllCells(bool include_lockfree_grid) {
     if (include_lockfree_grid) {
       cells.push_back({Layout::kGrid, direction, Sync::kLockFree});
     }
-    // Sync is a no-op for the sharded backends (ownership replaces locks);
-    // one lock-free cell per direction covers them.
-    cells.push_back({Layout::kSharded, direction, Sync::kLockFree});
   }
   return cells;
 }

@@ -275,10 +275,9 @@ TEST(ConcurrentTest, QuerySessionRunsMixedQueries) {
 }
 
 // Every drained result carries a complete lifecycle trace whose phase
-// breakdown (admission + queue wait + cohort formation + execute) sums to
+// breakdown (admission + queue wait + dispatch + execute) sums to
 // the total exactly — the stamps are consecutive right-open intervals, so
-// nothing can leak between phases. Isolated-mode sessions must report the
-// isolated fallback and no cohort.
+// nothing can leak between phases.
 TEST(ConcurrentTest, RequestTraceBreakdownIsConsistent) {
   GraphHandle handle(TestGraph());
   const RunConfig config = PushConfig();
@@ -316,12 +315,8 @@ TEST(ConcurrentTest, RequestTraceBreakdownIsConsistent) {
     // hair longer than result.seconds, never shorter.
     EXPECT_GE(trace.ExecuteSeconds(), result.seconds) << "query " << result.id;
     EXPECT_GE(total, result.seconds) << "query " << result.id;
-    // Isolated mode: batching was never considered, no cohort, no epoch pin
-    // (plain-handle session).
-    EXPECT_EQ(trace.fallback, obs::BatchFallback::kIsolatedMode);
-    EXPECT_EQ(trace.cohort_id, -1);
+    // Plain-handle session: no epoch pin.
     EXPECT_EQ(trace.epoch, 0u);
-    EXPECT_FALSE(result.batched);
   }
 }
 

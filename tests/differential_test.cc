@@ -1,21 +1,20 @@
 // Differential sweep across the full EdgeMap configuration matrix:
-//   layout {adjacency, compressed, edge-array, grid, sharded}
+//   layout {adjacency, compressed, edge-array, grid}
 //     x direction {push, pull, push-pull}
 //     x sync {atomics, locks}
 //     x balance {vertex, edge}
-// = 60 cells, each run for BFS, WCC, SSSP and Pagerank on four seeded graph
+// = 48 cells, each run for BFS, WCC, SSSP and Pagerank on four seeded graph
 // families (power-law R-MAT, high-diameter road lattice, uniform
 // Erdős–Rényi, and a mega-hub star that forces the edge-balanced
 // partitioner to split one adjacency list across chunks) and checked
 // against the sequential references.
 //
-// Every cell executes — none of the 24 combinations is rejected by the
+// Every cell executes — none of the 48 combinations is rejected by the
 // engine. Two parameters are no-ops by design and are exercised anyway:
 //   - direction is ignored by edge-array and grid EdgeMaps (always a full
 //     edge scan in the stored order),
 //   - sync is ignored by adjacency/compressed pull (one writer per
-//     destination) and by the sharded backends entirely (shard ownership
-//     makes every apply exclusive).
+//     destination).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -187,9 +186,8 @@ TEST_P(DifferentialTest, WccMatchesReference) {
     // stored edges only, so it runs on the symmetrized graph (paper section
     // 8); edge-array and grid relax both endpoints of each stored edge and
     // need no symmetrization.
-    const bool adjacency_like = config.layout == Layout::kAdjacency ||
-                                config.layout == Layout::kCompressed ||
-                                config.layout == Layout::kSharded;
+    const bool adjacency_like =
+        config.layout == Layout::kAdjacency || config.layout == Layout::kCompressed;
     GraphHandle handle(adjacency_like ? g.edges.MakeUndirected() : g.edges);
     config.symmetric_input = adjacency_like;
     const WccResult result = RunWcc(handle, config);
@@ -235,8 +233,7 @@ TEST_P(DifferentialTest, PagerankMatchesReference) {
 INSTANTIATE_TEST_SUITE_P(
     FullMatrix, DifferentialTest,
     ::testing::Combine(::testing::Values(Layout::kAdjacency, Layout::kCompressed,
-                                         Layout::kEdgeArray, Layout::kGrid,
-                                         Layout::kSharded),
+                                         Layout::kEdgeArray, Layout::kGrid),
                        ::testing::Values(Direction::kPush, Direction::kPull,
                                          Direction::kPushPull),
                        ::testing::Values(Sync::kAtomics, Sync::kLocks),

@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <atomic>
 #include <set>
-#include <span>
 #include <vector>
 
 #include "src/algos/bfs.h"
@@ -71,8 +70,8 @@ TEST(Frontier, WorkEstimateCountsDegreesPlusSize) {
 struct ReachFunctor {
   uint8_t* visited;
   bool Update(VertexId /*s*/, VertexId d, float) {
-    if (visited[d] == 0) {
-      visited[d] = 1;
+    if (AtomicLoad(&visited[d]) == 0) {
+      AtomicStore(&visited[d], uint8_t{1});
       return true;
     }
     return false;
@@ -209,99 +208,6 @@ TEST_F(EdgeMapTest, GridAtomics) {
     return EdgeMapGrid(handle_->grid(), f, fn, Options(Sync::kAtomics));
   });
   EXPECT_EQ(reached, *expected_);
-}
-
-// --- Partition-scoped kernels (batch-scheduler building blocks) -------------
-
-TEST(Frontier, SplitByRangesPreservesMembership) {
-  Frontier f = Frontier::FromVector(100, {0, 9, 10, 11, 49, 50, 99});
-  std::vector<Frontier> parts = f.SplitByRanges({0, 10, 10, 50, 100});
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts[0].Count(), 2);  // {0, 9}
-  EXPECT_TRUE(parts[1].Empty());   // zero-width range [10, 10)
-  EXPECT_EQ(parts[2].Count(), 3);  // {10, 11, 49}
-  EXPECT_EQ(parts[3].Count(), 2);  // {50, 99}
-  std::set<VertexId> merged;
-  const std::vector<VertexId> boundaries = {0, 10, 10, 50, 100};
-  for (size_t p = 0; p < parts.size(); ++p) {
-    parts[p].EnsureSparse();
-    for (const VertexId v : parts[p].Vertices()) {
-      EXPECT_GE(v, boundaries[p]);
-      EXPECT_LT(v, boundaries[p + 1]);
-      merged.insert(v);
-    }
-  }
-  EXPECT_EQ(merged, (std::set<VertexId>{0, 9, 10, 11, 49, 50, 99}));
-}
-
-TEST(Frontier, SplitByRangesSinglePartitionIsIdentity) {
-  Frontier f = Frontier::FromVector(64, {3, 17, 63});
-  std::vector<Frontier> parts = f.SplitByRanges({0, 64});
-  ASSERT_EQ(parts.size(), 1u);
-  parts[0].EnsureSparse();
-  EXPECT_EQ(parts[0].Vertices(), (std::vector<VertexId>{3, 17, 63}));
-}
-
-class PartitionScopedTest : public EdgeMapTest {
- protected:
-  // Runs the whole reachability fixpoint with the partition-scoped push:
-  // each round splits the frontier at fixed boundaries (including a
-  // zero-width partition), pushes each slice with the shared dedup bitmap,
-  // and rebuilds the next frontier from the union of discoveries. The set
-  // reached per round must match the whole-graph EdgeMapCsrPush run in
-  // lockstep, and the fixpoint must match the sequential reference.
-  void ExpectScopedPushMatches(Balance balance) {
-    const Csr& out = handle_->out_csr();
-    const VertexId n = graph_->num_vertices();
-    const std::vector<VertexId> boundaries = {0, n / 3, n / 3, (2 * n) / 3, n};
-    std::vector<uint8_t> ref_visited(n, 0);
-    std::vector<uint8_t> visited(n, 0);
-    ref_visited[0] = visited[0] = 1;
-    ReachFunctor ref_func{ref_visited.data()};
-    ReachFunctor func{visited.data()};
-    Frontier ref_frontier = Frontier::Single(n, 0);
-    Frontier frontier = Frontier::Single(n, 0);
-    EdgeMapOptions options;
-    options.balance = balance;
-    options.locks = &handle_->locks();
-    Bitmap dedup(n);
-    while (!ref_frontier.Empty()) {
-      ref_frontier = EdgeMapCsrPush(out, ref_frontier, ref_func, options);
-      std::vector<VertexId> discovered;
-      std::vector<Frontier> parts = frontier.SplitByRanges(boundaries);
-      for (Frontier& part : parts) {
-        part.EnsureSparse();
-        EdgeMapCsrPushScoped(out, std::span<const VertexId>(part.Vertices()), func,
-                             options, dedup, discovered);
-      }
-      dedup.Clear();
-      frontier = Frontier::FromVector(n, std::move(discovered));
-
-      ref_frontier.EnsureSparse();
-      frontier.EnsureSparse();
-      std::vector<VertexId> ref_round = ref_frontier.Vertices();
-      std::vector<VertexId> round = frontier.Vertices();
-      std::sort(ref_round.begin(), ref_round.end());
-      std::sort(round.begin(), round.end());
-      ASSERT_EQ(round, ref_round) << BalanceName(balance);
-    }
-    EXPECT_TRUE(frontier.Empty());
-    std::set<VertexId> reached;
-    for (VertexId v = 0; v < n; ++v) {
-      if (visited[v]) {
-        reached.insert(v);
-      }
-    }
-    EXPECT_EQ(reached, *expected_) << BalanceName(balance);
-  }
-};
-
-TEST_F(PartitionScopedTest, ScopedPushUnionMatchesWholeGraphVertexBalanced) {
-  ExpectScopedPushMatches(Balance::kVertex);
-}
-
-TEST_F(PartitionScopedTest, ScopedPushUnionMatchesWholeGraphEdgeBalanced) {
-  ExpectScopedPushMatches(Balance::kEdge);
 }
 
 TEST(EdgeMapThreshold, LowThresholdForcesPull) {

@@ -462,32 +462,17 @@ TEST_F(ObsTest, FormatSlowQueryReportsBreakdownAndCohort) {
   record.id = 42;
   record.kind = "bfs";
   record.worker = 3;
-  record.batched = true;
   record.trace = MakeTrace(1'000'000'000ull, 2'000'000, 3'000'000,
                            1'000'000, 4'000'000);  // 10ms total
   record.trace.epoch = 2;
-  record.trace.cohort_id = 7;
-  record.trace.cohort_size = 5;
-  record.trace.partitions = 4;
-  record.trace.rounds = 9;
-  record.trace.fallback = BatchFallback::kNone;
-  const std::string batched_line = FormatSlowQuery(record);
+  record.trace.delta_depth_at_pin = 6;
+  const std::string line = FormatSlowQuery(record);
   for (const char* piece : {"slow query 42", "bfs", "total 10.000ms",
                             "admission 2.000ms", "queue 3.000ms", "cohort 1.000ms",
-                            "execute 4.000ms", "worker 3", "epoch 2",
-                            "cohort 7 of 5 over 4 partitions, 9 rounds"}) {
-    EXPECT_NE(batched_line.find(piece), std::string::npos)
-        << "missing \"" << piece << "\" in: " << batched_line;
+                            "execute 4.000ms", "worker 3", "epoch 2", "delta-depth 6)"}) {
+    EXPECT_NE(line.find(piece), std::string::npos)
+        << "missing \"" << piece << "\" in: " << line;
   }
-
-  record.batched = false;
-  record.trace.fallback = BatchFallback::kNotBatchable;
-  EXPECT_NE(FormatSlowQuery(record).find("fallback not-batchable"), std::string::npos);
-
-  EXPECT_STREQ(BatchFallbackName(BatchFallback::kNone), "none");
-  EXPECT_STREQ(BatchFallbackName(BatchFallback::kIsolatedMode), "isolated-mode");
-  EXPECT_STREQ(BatchFallbackName(BatchFallback::kNotBatchable), "not-batchable");
-  EXPECT_STREQ(BatchFallbackName(BatchFallback::kCohortTooSmall), "cohort-too-small");
 }
 
 // --- Exposition ------------------------------------------------------------

@@ -55,8 +55,7 @@ TEST_P(SpmvConfigTest, MatchesReference) {
   EXPECT_EQ(result.stats.iterations, 1);  // single pass by definition
 }
 
-// Every layout with each of its synchronization forms (sharded applies are
-// owner-exclusive, so only lock-free applies there), under both balance
+// Every layout with each of its synchronization forms, under both balance
 // modes.
 std::vector<SpmvParam> SpmvCells() {
   const std::tuple<Layout, Direction, Sync> cells[] = {
@@ -71,8 +70,6 @@ std::vector<SpmvParam> SpmvCells() {
       {Layout::kGrid, Direction::kPush, Sync::kAtomics},
       {Layout::kGrid, Direction::kPush, Sync::kLocks},
       {Layout::kGrid, Direction::kPull, Sync::kLockFree},
-      {Layout::kSharded, Direction::kPush, Sync::kLockFree},
-      {Layout::kSharded, Direction::kPull, Sync::kLockFree},
   };
   std::vector<SpmvParam> params;
   for (const Balance balance : {Balance::kEdge, Balance::kVertex}) {
@@ -98,7 +95,7 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-// The adjacency, compressed and sharded pulls run one gather body in the
+// The adjacency and compressed pulls run one gather body in the
 // same per-destination order (ascending on the compressed CSR, so the plain
 // in-lists are sorted here to match), under either balance mode: their
 // float sums must agree bit for bit. The graph is unweighted because the
@@ -120,7 +117,7 @@ TEST(Spmv, PullIsBitIdenticalAcrossLayoutsAndBalance) {
   config.sync = Sync::kLockFree;
   config.balance = Balance::kVertex;
   const std::vector<float> expected = RunSpmv(handle, x, config).y;
-  for (const Layout layout : {Layout::kAdjacency, Layout::kCompressed, Layout::kSharded}) {
+  for (const Layout layout : {Layout::kAdjacency, Layout::kCompressed}) {
     for (const Balance balance : {Balance::kVertex, Balance::kEdge}) {
       config.layout = layout;
       config.balance = balance;

@@ -6,16 +6,14 @@
 //   stats     FILE                       print Table-1-style statistics
 //   serve     --queries=FILE --concurrency=N [--threads-per-query=K]
 //             [--queue-capacity=M] [--symmetrize]
-//             [--batch=1] [--llc-mb=N] [--batch-min=K] [--max-batch=M]
 //             [--updates=FILE] [--update-batch=N]
 //             [--stats-out=FILE] [--stats-interval-ms=N] [--slow-query-ms=N]
 //             [--layout=...] [--direction=...] [--sync=...] [--balance=...]
-//             [--shards=S]
 //             FILE
 //   run       --algo=bfs|wcc|sssp|pagerank|spmv|kcore|triangles
-//             [--layout=adjacency|compressed|edge-array|grid|sharded]
+//             [--layout=adjacency|compressed|edge-array|grid]
 //             [--direction=push|pull|push-pull] [--sync=atomics|locks|lock-free]
-//             [--balance=vertex|edge] [--shards=S]
+//             [--balance=vertex|edge]
 //             [--method=radix|count|dynamic] [--source=V] [--iterations=N]
 //             [--loader=sequential|pipelined] [--medium=memory|ssd|hdd]
 //             [--chunk-mb=N]
@@ -28,11 +26,6 @@
 // the query file (one `<algo> [source]` per line) on N concurrent workers,
 // each with its own ExecutionContext — the library's serving mode. WCC
 // queries need --symmetrize (adjacency WCC expects an undirected list).
-// `serve --batch` switches to the fork-processing scheduler: queries are
-// drained in cohorts (up to --max-batch) and executed partition-by-partition
-// over --llc-mb-sized CSR ranges, sharing each partition's cache residency
-// across the whole cohort; cohorts below --batch-min fall back to isolated
-// execution. Result checksums are identical in both modes.
 // `serve --updates=FILE` serves against a SnapshotStore instead of a single
 // frozen handle: the update stream (`add|del SRC DST` per line) is applied
 // in --update-batch-sized batches interleaved with query submission, each
@@ -48,14 +41,8 @@
 // snapshot store's epoch, refreeze backlog, chain length and retained bytes.
 // A final sample is written after the drain. `serve --slow-query-ms=N`
 // retains every query whose submit-to-completion latency reaches N ms and
-// prints its full phase breakdown (admission / queue wait / cohort formation
-// / execute) after the run.
-// `--layout=sharded` runs the sharded execution substrate: the CSR vertex
-// space is split into --shards contiguous shards (0 = two per worker), each
-// EdgeMap round applies shard-local updates directly and routes cross-shard
-// updates through per-(src,dst)-shard aggregation buffers flushed in
-// cache-line batches — no striped locks on the push path. Shard traffic
-// shows up in the shard.* counters and the shard.local_ratio gauge.
+// prints its full phase breakdown (admission / queue wait / dispatch /
+// execute) after the run.
 // `run --advisor` lets the paper's section-9 roadmap pick the configuration
 // (--workers tells it the worker count; defaults to the pool size).
 // Every run prints the end-to-end breakdown (load / preprocess / algorithm).
@@ -64,6 +51,9 @@
 // report (use `-` for stdout). `--timeline=FILE` (or EG_TIMELINE=1 in the
 // environment) records per-worker timeline spans across the whole run and
 // writes a Chrome-trace/Perfetto-compatible file plus a per-worker summary.
+// A flag the subcommand never read (a typo, or one that does not apply to
+// the chosen mode, e.g. --medium without a usable --loader) is reported once
+// the command has run, and the exit status becomes 2.
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -92,7 +82,6 @@
 #include "src/snapshot/snapshot_store.h"
 #include "src/obs/phase.h"
 #include "src/obs/timeline.h"
-#include "src/shard/shard_metrics.h"
 #include "src/util/env.h"
 #include "src/util/flags.h"
 #include "src/util/parallel.h"
@@ -121,9 +110,6 @@ Layout ParseLayout(const std::string& name) {
   }
   if (name == "grid") {
     return Layout::kGrid;
-  }
-  if (name == "sharded") {
-    return Layout::kSharded;
   }
   throw std::runtime_error("unknown layout: " + name);
 }
@@ -313,7 +299,6 @@ int CmdRun(const Flags& flags) {
   config.sync = ParseSync(flags.GetString("sync", "atomics"));
   config.balance = ParseBalance(flags.GetString("balance", "edge"));
   config.method = ParseMethod(flags.GetString("method", "radix"));
-  config.shards = static_cast<int>(flags.GetInt("shards", 0));
 
   // --loader routes binary input through the overlapped load→build pipeline
   // (src/io/loader.h): the CSRs are built while the file streams from the
@@ -400,9 +385,8 @@ int CmdRun(const Flags& flags) {
   std::string summary;
   char buffer[128];
 
-  if (algo == "wcc" && (config.layout == Layout::kAdjacency ||
-                        config.layout == Layout::kCompressed ||
-                        config.layout == Layout::kSharded)) {
+  if (algo == "wcc" &&
+      (config.layout == Layout::kAdjacency || config.layout == Layout::kCompressed)) {
     graph = graph.MakeUndirected();
     config.symmetric_input = true;
   }
@@ -527,13 +511,7 @@ std::unique_ptr<obs::StatsSampler> StartStatsSampler(
   obs::StatsSampler::Options options;
   options.path = stats_out;
   options.interval_ms = static_cast<int>(flags.GetInt("stats-interval-ms", 1000));
-  options.gauges = [&session, store] {
-    std::vector<obs::GaugeSample> gauges = serve::ServeGauges(session, store);
-    for (obs::GaugeSample& sample : ShardGauges()) {
-      gauges.push_back(std::move(sample));
-    }
-    return gauges;
-  };
+  options.gauges = [&session, store] { return serve::ServeGauges(session, store); };
   return std::make_unique<obs::StatsSampler>(std::move(options));
 }
 
@@ -639,13 +617,12 @@ int CmdServeUpdates(const Flags& flags, const RunConfig& config,
 
   for (const serve::ServeResult& result : results) {
     std::printf(
-        "query %lld: %s %s in %.4fs (epoch %llu, %d iterations, worker %d%s, "
+        "query %lld: %s %s in %.4fs (epoch %llu, %d iterations, worker %d, "
         "checksum %016llx)\n",
         static_cast<long long>(result.id), serve::QueryKindName(result.kind),
         result.ok ? "ok" : "FAILED", result.seconds,
         static_cast<unsigned long long>(result.epoch), result.iterations,
-        result.worker, result.batched ? ", batched" : "",
-        static_cast<unsigned long long>(result.checksum));
+        result.worker, static_cast<unsigned long long>(result.checksum));
   }
   const snapshot::SnapshotStoreStats sstats = store.stats();
   std::printf(
@@ -690,7 +667,6 @@ int CmdServe(const Flags& flags) {
   config.sync = ParseSync(flags.GetString("sync", "atomics"));
   config.balance = ParseBalance(flags.GetString("balance", "edge"));
   config.method = ParseMethod(flags.GetString("method", "radix"));
-  config.shards = static_cast<int>(flags.GetInt("shards", 0));
 
   const std::vector<serve::ServeQuery> queries =
       serve::ReadQueryFile(queries_path, config);
@@ -717,12 +693,6 @@ int CmdServe(const Flags& flags) {
   options.queue_capacity = static_cast<size_t>(flags.GetInt("queue-capacity", 1024));
   options.slow_query_seconds =
       static_cast<double>(flags.GetInt("slow-query-ms", 0)) * 1e-3;
-  if (flags.GetBool("batch", false)) {
-    options.mode = serve::ExecutionMode::kBatched;
-    options.llc_bytes = static_cast<uint64_t>(flags.GetInt("llc-mb", 16)) << 20;
-    options.batch_min = static_cast<int>(flags.GetInt("batch-min", 2));
-    options.max_batch = static_cast<int>(flags.GetInt("max-batch", 16));
-  }
 
   if (!flags.GetString("updates", "").empty()) {
     return CmdServeUpdates(flags, config, queries, std::move(graph), options,
@@ -758,11 +728,10 @@ int CmdServe(const Flags& flags) {
   const serve::QuerySessionStats stats = session.stats();
 
   for (const serve::ServeResult& result : results) {
-    std::printf("query %lld: %s %s in %.4fs (%d iterations, worker %d%s, checksum %016llx)\n",
+    std::printf("query %lld: %s %s in %.4fs (%d iterations, worker %d, checksum %016llx)\n",
                 static_cast<long long>(result.id), serve::QueryKindName(result.kind),
                 result.ok ? "ok" : "FAILED", result.seconds, result.iterations,
-                result.worker, result.batched ? ", batched" : "",
-                static_cast<unsigned long long>(result.checksum));
+                result.worker, static_cast<unsigned long long>(result.checksum));
   }
   std::printf("serve: %lld/%zu queries accepted, %lld completed, %lld rejected "
               "(%lld queue-full, %lld closed)\n",
@@ -771,16 +740,30 @@ int CmdServe(const Flags& flags) {
               static_cast<long long>(stats.rejected),
               static_cast<long long>(stats.rejected_full),
               static_cast<long long>(stats.rejected_closed));
-  if (stats.batches > 0) {
-    std::printf("serve: %lld queries ran batched across %lld cohort(s)\n",
-                static_cast<long long>(stats.batched),
-                static_cast<long long>(stats.batches));
-  }
   std::printf("serve: load %.3fs, preprocess %.3fs, concurrency %d -> %.1f queries/s "
               "(%.3fs wall)\n",
               load_seconds, handle.preprocess_seconds(), options.concurrency, stats.qps,
               stats.wall_seconds);
   return stats.completed == accepted ? 0 : 1;
+}
+
+int RunCommand(const std::string& command, const Flags& flags) {
+  if (command == "generate") {
+    return CmdGenerate(flags);
+  }
+  if (command == "convert") {
+    return CmdConvert(flags);
+  }
+  if (command == "stats") {
+    return CmdStats(flags);
+  }
+  if (command == "run") {
+    return CmdRun(flags);
+  }
+  if (command == "serve") {
+    return CmdServe(flags);
+  }
+  return Usage();
 }
 
 int Main(int argc, char** argv) {
@@ -789,27 +772,22 @@ int Main(int argc, char** argv) {
   }
   const std::string command = argv[1];
   const Flags flags(argc - 1, argv + 1);
+  int status = 0;
   try {
-    if (command == "generate") {
-      return CmdGenerate(flags);
-    }
-    if (command == "convert") {
-      return CmdConvert(flags);
-    }
-    if (command == "stats") {
-      return CmdStats(flags);
-    }
-    if (command == "run") {
-      return CmdRun(flags);
-    }
-    if (command == "serve") {
-      return CmdServe(flags);
-    }
+    status = RunCommand(command, flags);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  return Usage();
+  // Only a command that ran to completion has read every flag that applies
+  // to it; an early exit already reported its own error.
+  if (status == 0) {
+    for (const std::string& key : flags.UnusedKeys()) {
+      std::fprintf(stderr, "error: %s does not take --%s\n", command.c_str(), key.c_str());
+      status = 2;
+    }
+  }
+  return status;
 }
 
 }  // namespace
