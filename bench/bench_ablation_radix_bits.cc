@@ -1,7 +1,8 @@
-// Ablation (google-benchmark): radix digit width for the adjacency-list
-// sort. The paper uses 8-bit digits (256 buckets); this sweep shows why —
-// narrow digits multiply passes, wide digits blow up per-chunk histograms
-// and bucket-cursor working sets.
+// Ablation (google-benchmark): width of the radix CSR build's top-level
+// split. The paper uses 8-bit digits (256 buckets); this sweep shows why —
+// narrow digits leave few, wide buckets whose per-vertex cursor arrays
+// spill out of cache and starve the parallel place pass, wide digits blow
+// up the per-chunk histograms and the split's bucket-cursor working set.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_common.h"

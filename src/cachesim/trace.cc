@@ -288,48 +288,50 @@ void TraceRadixSortBuild(CacheModel& cache, const EdgeList& graph, int digit_bit
   const auto& edges = graph.edges();
   const uint64_t n = graph.num_vertices();
   const int key_bits = n <= 1 ? 1 : std::bit_width(n - 1);
-  const uint32_t radix = 1u << digit_bits;
-  const uint32_t mask = radix - 1;
-  const int top_shift = ((key_bits - 1) / digit_bits) * digit_bits;
+  const int shift = std::max(key_bits - digit_bits, 0);
+  const uint64_t num_buckets = n == 0 ? 0 : ((n - 1) >> shift) + 1;
 
-  // Working key array; mirrors the real sort's record movement without
-  // simulating full recursion bookkeeping.
-  std::vector<VertexId> keys(edges.size());
+  // Split: a histogram read of the edge array (the per-bucket counters are
+  // tiny and always cached, so they are not traced), then a second read that
+  // scatters {key, value} records bucket-sequentially into scratch.
+  std::vector<uint64_t> bucket_start(num_buckets + 1, 0);
   for (size_t i = 0; i < edges.size(); ++i) {
-    keys[i] = edges[i].src;
+    cache.Access(kEdgesBase + i * sizeof(Edge));
+    ++bucket_start[(edges[i].src >> shift) + 1];
+  }
+  for (uint64_t b = 0; b < num_buckets; ++b) {
+    bucket_start[b + 1] += bucket_start[b];
+  }
+  std::vector<uint64_t> cursors(bucket_start.begin(), bucket_start.end() - 1);
+  std::vector<VertexId> scratch(edges.size());
+  for (size_t i = 0; i < edges.size(); ++i) {
+    cache.Access(kEdgesBase + i * sizeof(Edge));
+    const uint64_t slot = cursors[edges[i].src >> shift]++;
+    cache.Access(kScratchBase + slot * sizeof(Edge));
+    scratch[slot] = edges[i].src;
   }
 
-  bool in_primary = true;
-  std::vector<VertexId> scratch(keys.size());
-  for (int shift = top_shift; shift >= 0; shift -= digit_bits) {
-    const uint64_t read_base = in_primary ? kEdgesBase : kScratchBase;
-    const uint64_t write_base = in_primary ? kScratchBase : kEdgesBase;
-    std::vector<uint64_t> counts(radix, 0);
-    for (const VertexId key : keys) {
-      ++counts[(key >> shift) & mask];
+  // Place: per bucket, a degree-count read of its scratch slice, its offsets
+  // range, then a second read that writes into the bucket's slice of
+  // neighbors (the per-vertex cursors are cache-resident, so not traced).
+  for (uint64_t b = 0; b < num_buckets; ++b) {
+    const uint64_t first = b << shift;
+    const uint64_t last = std::min(first + (uint64_t{1} << shift), n);
+    std::vector<uint64_t> cursor(last - first + 1, 0);
+    for (uint64_t i = bucket_start[b]; i < bucket_start[b + 1]; ++i) {
+      cache.Access(kScratchBase + i * sizeof(Edge));
+      ++cursor[scratch[i] - first + 1];
     }
-    std::vector<uint64_t> cursors(radix, 0);
-    uint64_t running = 0;
-    for (uint32_t d = 0; d < radix; ++d) {
-      cursors[d] = running;
-      running += counts[d];
+    cursor[0] = bucket_start[b];
+    for (uint64_t v = 1; v < cursor.size(); ++v) {
+      cursor[v] += cursor[v - 1];
     }
-    // Histogram pass: sequential read (the counter array is tiny and always
-    // cached, so it is not traced).
-    for (size_t i = 0; i < keys.size(); ++i) {
-      cache.Access(read_base + i * sizeof(Edge));
+    cache.AccessRange(kOffsetsBase + first * sizeof(EdgeIndex),
+                      (last - first) * sizeof(EdgeIndex));
+    for (uint64_t i = bucket_start[b]; i < bucket_start[b + 1]; ++i) {
+      cache.Access(kScratchBase + i * sizeof(Edge));
+      cache.Access(kNeighborsBase + cursor[scratch[i] - first]++ * sizeof(VertexId));
     }
-    // Scatter pass: sequential read, bucket-sequential write.
-    const std::vector<VertexId>& src = keys;
-    for (size_t i = 0; i < src.size(); ++i) {
-      cache.Access(read_base + i * sizeof(Edge));
-      const uint32_t d = (src[i] >> shift) & mask;
-      cache.Access(write_base + cursors[d] * sizeof(Edge));
-      scratch[cursors[d]] = src[i];
-      ++cursors[d];
-    }
-    keys.swap(scratch);
-    in_primary = !in_primary;
   }
 }
 

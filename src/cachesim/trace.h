@@ -107,8 +107,8 @@ void TraceDynamicBuild(CacheModel& cache, const EdgeList& graph);
 // (random scatter through per-vertex cursors).
 void TraceCountSortBuild(CacheModel& cache, const EdgeList& graph);
 
-// Radix sort: top-level digit split with 2^digit_bits sequentially-advancing
-// bucket cursors, then per-bucket LSD passes.
+// Radix sort: the two-pass build's split by the top digit (2^digit_bits
+// sequentially advancing bucket cursors), then its per-bucket placement.
 void TraceRadixSortBuild(CacheModel& cache, const EdgeList& graph, int digit_bits = 8);
 
 }  // namespace egraph

@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <memory>
 #include <mutex>
+#include <type_traits>
+#include <utility>
 
 #include "src/layout/radix_sort.h"
 #include "src/obs/metrics.h"
@@ -15,12 +19,6 @@
 namespace egraph {
 namespace {
 
-// Record carried through the radix sort when the graph is weighted.
-struct WeightedRecord {
-  Edge edge;
-  float weight;
-};
-
 VertexId KeyOf(const Edge& e, EdgeDirection direction) {
   return direction == EdgeDirection::kOut ? e.src : e.dst;
 }
@@ -29,73 +27,85 @@ VertexId ValueOf(const Edge& e, EdgeDirection direction) {
   return direction == EdgeDirection::kOut ? e.dst : e.src;
 }
 
-// Derives the offsets array from a key-sorted record span by locating digit
-// boundaries (cache-friendly: one streaming pass, total work O(V + E)).
-template <typename Record, typename KeyFn>
-std::vector<EdgeIndex> OffsetsFromSorted(const std::vector<Record>& records,
-                                         VertexId num_vertices, const KeyFn& key) {
-  std::vector<EdgeIndex> offsets(static_cast<size_t>(num_vertices) + 1);
-  const int64_t n = static_cast<int64_t>(records.size());
-  if (n == 0) {
-    return offsets;  // all zero
-  }
-  ParallelFor(0, n, [&](int64_t i) {
-    const int64_t k = key(records[static_cast<size_t>(i)]);
-    const int64_t k_prev = i == 0 ? -1 : key(records[static_cast<size_t>(i) - 1]);
-    for (int64_t v = k_prev + 1; v <= k; ++v) {
-      offsets[static_cast<size_t>(v)] = static_cast<EdgeIndex>(i);
-    }
-  });
-  const int64_t k_last = key(records[static_cast<size_t>(n) - 1]);
-  for (int64_t v = k_last + 1; v <= static_cast<int64_t>(num_vertices); ++v) {
-    offsets[static_cast<size_t>(v)] = static_cast<EdgeIndex>(n);
-  }
-  return offsets;
-}
+// An edge on its way to its CSR slot: the vertex whose list it joins, its
+// neighbor in that list and, for weighted graphs, its weight.
+struct KeyedEdge {
+  VertexId key;
+  VertexId value;
+};
+struct KeyedWeightedEdge : KeyedEdge {
+  float weight;
+};
 
+// Two stable passes, each with sequential reads and bucket-sequential
+// writes:
+//   split - scatter every edge by the top `digit_bits` of its key into one
+//           scratch buffer, so each bucket holds a contiguous vertex range
+//           of 2^(key_bits - digit_bits) vertices;
+//   place - per bucket, count degrees in a cache-resident array, write the
+//           bucket's offsets, and scatter into the final neighbors/weights.
+// Each list keeps input edge order, at any thread count.
+template <typename Record>
 Csr BuildRadix(const EdgeList& graph, EdgeDirection direction, int digit_bits,
                double* seconds) {
+  constexpr bool kWeighted = std::is_same_v<Record, KeyedWeightedEdge>;
   Timer timer;
   obs::TimelineSpan timeline_span("layout", "build.radix",
                                   static_cast<int64_t>(graph.edges().size()));
-  Csr csr;
+  const auto& edges = graph.edges();
   const VertexId n = graph.num_vertices();
-  const size_t m = graph.edges().size();
+  const size_t m = edges.size();
+  std::vector<EdgeIndex> offsets(static_cast<size_t>(n) + 1, 0);
+  std::vector<VertexId> neighbors(m);
+  std::vector<float> weights(kWeighted ? m : 0);
+  const int key_bits = n <= 1 ? 1 : std::bit_width(n - 1);
+  const int shift = std::max(key_bits - digit_bits, 0);
+  const size_t num_buckets = n == 0 ? 0 : (static_cast<size_t>(n - 1) >> shift) + 1;
 
-  if (!graph.has_weights()) {
-    // The timed region includes copying the input (the paper sorts the loaded
-    // edge array in place; we preserve the caller's edge list for reuse, and
-    // the streaming copy is part of this method's honest cost).
-    std::vector<Edge> records(m);
-    ParallelFor(0, static_cast<int64_t>(m), [&](int64_t i) {
-      records[static_cast<size_t>(i)] = graph.edges()[static_cast<size_t>(i)];
-    });
-    auto key = [direction](const Edge& e) { return KeyOf(e, direction); };
-    ParallelRadixSort(records, n, key, digit_bits);
-    std::vector<EdgeIndex> offsets = OffsetsFromSorted(records, n, key);
-    std::vector<VertexId> neighbors(m);
-    ParallelFor(0, static_cast<int64_t>(m), [&](int64_t i) {
-      neighbors[static_cast<size_t>(i)] = ValueOf(records[static_cast<size_t>(i)], direction);
-    });
-    csr.Init(n, std::move(offsets), std::move(neighbors), {});
-  } else {
-    std::vector<WeightedRecord> records(m);
-    ParallelFor(0, static_cast<int64_t>(m), [&](int64_t i) {
-      records[static_cast<size_t>(i)] = {graph.edges()[static_cast<size_t>(i)],
-                                         graph.weights()[static_cast<size_t>(i)]};
-    });
-    auto key = [direction](const WeightedRecord& r) { return KeyOf(r.edge, direction); };
-    ParallelRadixSort(records, n, key, digit_bits);
-    std::vector<EdgeIndex> offsets = OffsetsFromSorted(records, n, key);
-    std::vector<VertexId> neighbors(m);
-    std::vector<float> weights(m);
-    ParallelFor(0, static_cast<int64_t>(m), [&](int64_t i) {
-      neighbors[static_cast<size_t>(i)] =
-          ValueOf(records[static_cast<size_t>(i)].edge, direction);
-      weights[static_cast<size_t>(i)] = records[static_cast<size_t>(i)].weight;
-    });
-    csr.Init(n, std::move(offsets), std::move(neighbors), std::move(weights));
+  const auto scratch = std::make_unique_for_overwrite<Record[]>(m);
+  std::vector<uint64_t> bucket_start;
+  {
+    obs::TimelineSpan split_span("layout", "build.radix.split", static_cast<int64_t>(m));
+    bucket_start = ParallelStableSplit(
+        m, num_buckets, [&](size_t i) { return KeyOf(edges[i], direction) >> shift; },
+        [&](size_t i, uint64_t slot) {
+          Record& record = scratch[slot];
+          record.key = KeyOf(edges[i], direction);
+          record.value = ValueOf(edges[i], direction);
+          if constexpr (kWeighted) {
+            record.weight = graph.weights()[i];
+          }
+        });
   }
+
+  obs::TimelineSpan place_span("layout", "build.radix.place", static_cast<int64_t>(m));
+  ParallelForGrain(0, static_cast<int64_t>(num_buckets), /*grain=*/1, [&](int64_t b) {
+    const VertexId first = static_cast<VertexId>(static_cast<uint64_t>(b) << shift);
+    const VertexId last = static_cast<VertexId>(
+        std::min<uint64_t>(static_cast<uint64_t>(first) + (uint64_t{1} << shift), n));
+    const uint64_t lo = bucket_start[static_cast<size_t>(b)];
+    const uint64_t hi = bucket_start[static_cast<size_t>(b) + 1];
+    std::vector<EdgeIndex> cursor(last - first, 0);
+    for (uint64_t i = lo; i < hi; ++i) {
+      ++cursor[scratch[i].key - first];
+    }
+    EdgeIndex running = lo;
+    for (VertexId v = first; v < last; ++v) {
+      offsets[v] = running;
+      running += std::exchange(cursor[v - first], running);
+    }
+    for (uint64_t i = lo; i < hi; ++i) {
+      const Record& record = scratch[i];
+      const EdgeIndex slot = cursor[record.key - first]++;
+      neighbors[slot] = record.value;
+      if constexpr (kWeighted) {
+        weights[slot] = record.weight;
+      }
+    }
+  });
+  offsets[n] = m;
+  Csr csr;
+  csr.Init(n, std::move(offsets), std::move(neighbors), std::move(weights));
   if (seconds != nullptr) {
     *seconds = timer.Seconds();
   }
@@ -371,7 +381,9 @@ Csr BuildCsr(const EdgeList& graph, EdgeDirection direction, BuildMethod method,
   Csr csr;
   switch (method) {
     case BuildMethod::kRadixSort:
-      csr = BuildRadix(graph, direction, digit_bits, &seconds);
+      csr = graph.has_weights()
+                ? BuildRadix<KeyedWeightedEdge>(graph, direction, digit_bits, &seconds)
+                : BuildRadix<KeyedEdge>(graph, direction, digit_bits, &seconds);
       break;
     case BuildMethod::kCountSort:
       csr = BuildCount(graph, direction, &seconds);

@@ -4,7 +4,8 @@
 //   kDynamic   - grow per-vertex arrays edge by edge (reallocation churn,
 //                poor locality, but overlappable with loading: section 3.4)
 //   kCountSort - degree count + scatter (two input scans, random scatter)
-//   kRadixSort - parallel MSD radix sort (sequential-write locality; the
+//   kRadixSort - two-pass radix build: a parallel split by the top digit,
+//                then per-bucket placement (sequential-write locality; the
 //                paper's winner when the input is in memory: Table 2)
 //
 // "Identical" means the same per-vertex (neighbor, weight) multisets. The
@@ -38,7 +39,8 @@ struct BuildStats {
 };
 
 // Builds a CSR over `direction` edges using `method`. The input edge list is
-// not modified. `digit_bits` applies to kRadixSort only (ablation knob).
+// not modified. `digit_bits` (kRadixSort only, ablation knob) is the width of
+// the radix build's top-level split.
 Csr BuildCsr(const EdgeList& graph, EdgeDirection direction, BuildMethod method,
              BuildStats* stats = nullptr, int digit_bits = 8);
 

@@ -1,14 +1,18 @@
-// Parallel MSD radix sort over fixed-size records with integer keys — the
-// paper's fastest adjacency-list construction technique (section 3.2,
-// following Zagha & Blelloch). Keys are consumed `digit_bits` at a time
-// (default 8, i.e. 256 buckets): a parallel counting pass splits records by
-// the most significant digit into buckets with sequential-write locality;
-// buckets are then sorted independently in parallel.
+// Parallel radix machinery (following Zagha & Blelloch). ParallelStableSplit
+// is one parallel counting pass that splits items into buckets with
+// sequential-write locality. ParallelRadixSort sorts fixed-size records with
+// integer keys, `digit_bits` at a time (default 8, i.e. 256 buckets): a split
+// on the most significant digit, then independent per-bucket LSD sorts; grids
+// and range partitions use it. The radix CSR build (csr_builder.cc) sorts no
+// records: it follows the split with a per-bucket placement straight into
+// the CSR arrays.
 #ifndef SRC_LAYOUT_RADIX_SORT_H_
 #define SRC_LAYOUT_RADIX_SORT_H_
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/util/parallel.h"
@@ -53,6 +57,44 @@ void SortBucketLsd(std::vector<Record>& records, std::vector<Record>& scratch, s
 
 }  // namespace radix_internal
 
+// Stable parallel split of items [0, n) into buckets [0, num_buckets): a
+// per-chunk histogram of bucket(i), then a scatter that calls
+// place(i, slot) with each item's destination slot. Slots within a bucket
+// follow input order, so the split is stable at any thread count. Returns
+// the bucket boundaries (num_buckets + 1 entries).
+template <typename BucketFn, typename PlaceFn>
+std::vector<uint64_t> ParallelStableSplit(size_t n, size_t num_buckets, const BucketFn& bucket,
+                                          const PlaceFn& place) {
+  const int num_chunks = ThreadPool::Current().num_threads() * 4;
+  const size_t chunk_size = (n + num_chunks - 1) / num_chunks;
+  // cursors[c][b]: write cursor of chunk c within bucket b (a stable,
+  // race-free scatter).
+  std::vector<std::vector<uint64_t>> cursors(static_cast<size_t>(num_chunks),
+                                             std::vector<uint64_t>(num_buckets, 0));
+  auto for_each_item = [&](const auto& body) {
+    ParallelFor(0, num_chunks, [&](int64_t c) {
+      const size_t lo = std::min(static_cast<size_t>(c) * chunk_size, n);
+      const size_t hi = std::min(lo + chunk_size, n);
+      std::vector<uint64_t>& cursor = cursors[static_cast<size_t>(c)];
+      for (size_t i = lo; i < hi; ++i) {
+        body(cursor, i);
+      }
+    });
+  };
+  for_each_item([&](std::vector<uint64_t>& count, size_t i) { ++count[bucket(i)]; });
+  std::vector<uint64_t> bucket_start(num_buckets + 1, 0);
+  uint64_t running = 0;
+  for (size_t b = 0; b < num_buckets; ++b) {
+    bucket_start[b] = running;
+    for (std::vector<uint64_t>& cursor : cursors) {
+      running += std::exchange(cursor[b], running);
+    }
+  }
+  bucket_start[num_buckets] = running;
+  for_each_item([&](std::vector<uint64_t>& cursor, size_t i) { place(i, cursor[bucket(i)]++); });
+  return bucket_start;
+}
+
 // Sorts `records` by key(record), where keys lie in [0, num_keys).
 // `digit_bits` in [1, 16] selects the radix (ablation knob; the paper uses 8).
 template <typename Record, typename KeyFn>
@@ -68,56 +110,14 @@ void ParallelRadixSort(std::vector<Record>& records, uint64_t num_keys, const Ke
   // Highest digit position covering the key range.
   const int top_shift = ((key_bits - 1) / digit_bits) * digit_bits;
 
+  // --- Top-level parallel split on the most significant digit ---
   std::vector<Record> scratch(n);
-
-  if (top_shift == 0) {
-    // Single digit: one parallel counting pass sorts everything.
-    // (Falls through to the same top-level pass below with recursion depth 0.)
-  }
-
-  // --- Top-level parallel counting pass over the most significant digit ---
-  const int num_chunks = ThreadPool::Current().num_threads() * 4;
-  const size_t chunk_size = (n + num_chunks - 1) / num_chunks;
-  std::vector<std::vector<uint64_t>> histograms(
-      static_cast<size_t>(num_chunks), std::vector<uint64_t>(radix, 0));
-
-  ParallelFor(0, num_chunks, [&](int64_t c) {
-    const size_t lo = static_cast<size_t>(c) * chunk_size;
-    const size_t hi = lo + chunk_size < n ? lo + chunk_size : n;
-    auto& hist = histograms[static_cast<size_t>(c)];
-    for (size_t i = lo; i < hi; ++i) {
-      ++hist[(key(records[i]) >> top_shift) & mask];
-    }
-  });
-
-  // bucket_start[d]: global offset of digit d; cursors[c][d]: write cursor of
-  // chunk c within digit d (guarantees a stable, race-free scatter).
-  std::vector<uint64_t> bucket_start(radix + 1, 0);
-  {
-    uint64_t running = 0;
-    for (uint32_t d = 0; d < radix; ++d) {
-      bucket_start[d] = running;
-      for (int c = 0; c < num_chunks; ++c) {
-        const uint64_t count = histograms[static_cast<size_t>(c)][d];
-        histograms[static_cast<size_t>(c)][d] = running;
-        running += count;
-      }
-    }
-    bucket_start[radix] = running;
-  }
-
-  ParallelFor(0, num_chunks, [&](int64_t c) {
-    const size_t lo = static_cast<size_t>(c) * chunk_size;
-    const size_t hi = lo + chunk_size < n ? lo + chunk_size : n;
-    auto& cursor = histograms[static_cast<size_t>(c)];
-    for (size_t i = lo; i < hi; ++i) {
-      scratch[cursor[(key(records[i]) >> top_shift) & mask]++] = records[i];
-    }
-  });
+  const std::vector<uint64_t> bucket_start = ParallelStableSplit(
+      n, radix, [&](size_t i) { return (key(records[i]) >> top_shift) & mask; },
+      [&](size_t i, uint64_t slot) { scratch[slot] = records[i]; });
   records.swap(scratch);
-
   if (top_shift == 0) {
-    return;
+    return;  // a single digit: the split sorted everything
   }
 
   // --- Per-bucket parallel recursion over the remaining digits ---

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <tuple>
 
 #include "src/gen/erdos_renyi.h"
@@ -231,6 +232,97 @@ TEST(CsrBuilder, IncrementalCountingMatchesOneShot) {
   builder.CountChunk({edges.data() + half, edges.size() - half});
   const Csr csr = builder.Scatter(graph);
   ExpectCsrMatchesReference(csr, graph, EdgeDirection::kIn);
+}
+
+// kRadixSort's order contract: each list keeps input edge-list order, so
+// the CSR equals a stable sort of the edges by key, element for element.
+EdgeList RandomEdges(VertexId num_vertices, VertexId used_vertices, size_t num_edges,
+                     uint64_t seed) {
+  Xoshiro256 rng(seed);
+  EdgeList graph;
+  graph.set_num_vertices(num_vertices);
+  for (size_t i = 0; i < num_edges; ++i) {
+    graph.AddEdge(static_cast<VertexId>(rng.Next() % used_vertices),
+                  static_cast<VertexId>(rng.Next() % used_vertices));
+  }
+  return graph;
+}
+
+// Over 60% of the edges join the hub's list in `direction`.
+EdgeList HubEdges(EdgeDirection direction) {
+  constexpr VertexId kHub = 7;
+  EdgeList graph = RandomEdges(3000, 3000, 8000, 5);
+  Xoshiro256 rng(6);
+  for (int i = 0; i < 14000; ++i) {
+    const VertexId other = static_cast<VertexId>(rng.Next() % 3000);
+    if (direction == EdgeDirection::kOut) {
+      graph.AddEdge(kHub, other);
+    } else {
+      graph.AddEdge(other, kHub);
+    }
+  }
+  return graph;
+}
+
+void ExpectRadixMatchesStableSort(const EdgeList& graph, EdgeDirection direction,
+                                  int digit_bits) {
+  const auto& edges = graph.edges();
+  const bool out = direction == EdgeDirection::kOut;
+  auto key = [&](size_t i) { return out ? edges[i].src : edges[i].dst; };
+  std::vector<size_t> order(edges.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](size_t a, size_t b) { return key(a) < key(b); });
+  std::vector<EdgeIndex> offsets(static_cast<size_t>(graph.num_vertices()) + 1, 0);
+  for (size_t i = 0; i < edges.size(); ++i) {
+    ++offsets[key(i) + 1];
+  }
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+  std::vector<VertexId> neighbors;
+  std::vector<float> weights;
+  for (const size_t i : order) {
+    neighbors.push_back(out ? edges[i].dst : edges[i].src);
+    if (graph.has_weights()) {
+      weights.push_back(graph.weights()[i]);
+    }
+  }
+  const Csr csr = BuildCsr(graph, direction, BuildMethod::kRadixSort, nullptr, digit_bits);
+  EXPECT_EQ(csr.num_vertices(), graph.num_vertices());
+  EXPECT_EQ(csr.offsets(), offsets);
+  EXPECT_EQ(csr.neighbors(), neighbors);
+  EXPECT_EQ(csr.weights(), weights);
+}
+
+TEST(CsrBuilder, RadixKeepsInputOrderExactly) {
+  EdgeList one_vertex;
+  one_vertex.set_num_vertices(1);
+  EdgeList one_vertex_loops = one_vertex;
+  for (int i = 0; i < 5; ++i) {
+    one_vertex_loops.AddEdge(0, 0);
+  }
+  for (const EdgeDirection direction : {EdgeDirection::kOut, EdgeDirection::kIn}) {
+    const std::vector<std::pair<const char*, EdgeList>> graphs = {
+        {"rmat", MakeFamily(Family::kRmat)},
+        {"trailing_isolated", RandomEdges(1000, 900, 20000, 1)},
+        {"odd_count", RandomEdges(4099, 4099, 30000, 2)},
+        {"empty", EdgeList()},
+        {"one_vertex", one_vertex},
+        {"one_vertex_loops", one_vertex_loops},
+        {"hub", HubEdges(direction)},
+    };
+    for (const auto& [name, unweighted] : graphs) {
+      EdgeList weighted = unweighted;
+      weighted.mutable_weights().resize(weighted.edges().size());
+      std::iota(weighted.mutable_weights().begin(), weighted.mutable_weights().end(), 1.0f);
+      for (const int digit_bits : {1, 4, 8, 11, 16}) {
+        SCOPED_TRACE(::testing::Message()
+                     << name << (direction == EdgeDirection::kOut ? " out" : " in")
+                     << " digit_bits=" << digit_bits);
+        ExpectRadixMatchesStableSort(unweighted, direction, digit_bits);
+        ExpectRadixMatchesStableSort(weighted, direction, digit_bits);
+      }
+    }
+  }
 }
 
 // --- Radix sort properties --------------------------------------------------

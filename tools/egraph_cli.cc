@@ -667,6 +667,10 @@ int CmdServe(const Flags& flags) {
   config.sync = ParseSync(flags.GetString("sync", "atomics"));
   config.balance = ParseBalance(flags.GetString("balance", "edge"));
   config.method = ParseMethod(flags.GetString("method", "radix"));
+  // Before the queries are read: each query copies `config`, and a query
+  // that does not know the graph is symmetric builds a redundant in-CSR.
+  const bool symmetrize = flags.GetBool("symmetrize", false);
+  config.symmetric_input = symmetrize;
 
   const std::vector<serve::ServeQuery> queries =
       serve::ReadQueryFile(queries_path, config);
@@ -682,9 +686,8 @@ int CmdServe(const Flags& flags) {
     graph = LoadAs(flags.GetString("from", "binary"), flags.positional()[0]);
   }
   const double load_seconds = load_timer.Seconds();
-  if (flags.GetBool("symmetrize", false)) {
+  if (symmetrize) {
     graph = graph.MakeUndirected();
-    config.symmetric_input = true;
   }
 
   serve::QuerySessionOptions options;
