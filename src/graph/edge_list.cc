@@ -95,7 +95,7 @@ EdgeIndex EdgeList::RemoveDuplicateEdges() {
     return a < b;
   });
   std::vector<Edge> deduped;
-  std::vector<float> deduped_weights;
+  UninitVector<float> deduped_weights;
   deduped.reserve(before);
   for (size_t i = 0; i < before; ++i) {
     const Edge& e = edges_[order[i]];

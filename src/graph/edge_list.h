@@ -2,6 +2,13 @@
 //  (a) the input format every pipeline starts from, and
 //  (b) a first-class computation layout with zero pre-processing cost
 //      (paper section 3.2: "edge arrays incur no pre-processing cost").
+//
+// Neither array is zero-filled when sized: `mutable_edges().resize(m)` and
+// `mutable_weights().resize(m)` allocate m unwritten slots (Edge's default
+// constructor and UninitVector's allocator write nothing). Whoever sizes
+// them writes every slot: the binary readers (one positional read per
+// chunk, src/io/edge_io.cc), the streaming loaders, the generators and the
+// layout transforms.
 #ifndef SRC_GRAPH_EDGE_LIST_H_
 #define SRC_GRAPH_EDGE_LIST_H_
 
@@ -9,6 +16,7 @@
 #include <vector>
 
 #include "src/graph/types.h"
+#include "src/util/uninit_vector.h"
 
 namespace egraph {
 
@@ -27,8 +35,8 @@ class EdgeList {
   std::vector<Edge>& mutable_edges() { return edges_; }
 
   bool has_weights() const { return !weights_.empty(); }
-  const std::vector<float>& weights() const { return weights_; }
-  std::vector<float>& mutable_weights() { return weights_; }
+  const UninitVector<float>& weights() const { return weights_; }
+  UninitVector<float>& mutable_weights() { return weights_; }
 
   // Weight of edge `e`; unweighted graphs report 1.0 so weighted algorithms
   // (SSSP, SpMV) degrade gracefully.
@@ -67,7 +75,7 @@ class EdgeList {
  private:
   VertexId num_vertices_ = 0;
   std::vector<Edge> edges_;
-  std::vector<float> weights_;  // empty => unweighted
+  UninitVector<float> weights_;  // empty => unweighted
 };
 
 }  // namespace egraph

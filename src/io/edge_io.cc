@@ -1,5 +1,12 @@
 #include "src/io/edge_io.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <memory>
 #include <stdexcept>
@@ -35,11 +42,55 @@ void WriteOrThrow(std::FILE* f, const void* data, size_t bytes, const std::strin
   }
 }
 
-void ReadOrThrow(std::FILE* f, void* data, size_t bytes, const std::string& path) {
-  if (bytes != 0 && std::fread(data, 1, bytes, f) != bytes) {
-    throw std::runtime_error("truncated read from " + path);
+// Reads exactly `bytes` at `offset`; false on EOF or error. Positional, so
+// threads can read disjoint ranges of one descriptor concurrently.
+bool PreadFully(int fd, void* data, size_t bytes, uint64_t offset) {
+  char* out = static_cast<char*>(data);
+  while (bytes != 0) {
+    const ssize_t got = ::pread(fd, out, bytes, static_cast<off_t>(offset));
+    if (got < 0 && errno == EINTR) {
+      continue;
+    }
+    if (got <= 0) {
+      return false;
+    }
+    out += got;
+    bytes -= static_cast<size_t>(got);
+    offset += static_cast<uint64_t>(got);
   }
+  return true;
 }
+
+// An open binary edge file whose header has been read and whose magic has
+// been checked. Throws std::runtime_error otherwise.
+class BinaryEdgeFile {
+ public:
+  explicit BinaryEdgeFile(const std::string& path)
+      : fd_(::open(path.c_str(), O_RDONLY | O_CLOEXEC)) {
+    if (fd_ < 0) {
+      throw std::runtime_error("cannot open " + path);
+    }
+    struct stat st {};
+    if (::fstat(fd_, &st) != 0 || !PreadFully(fd_, &header_, sizeof(header_), 0) ||
+        header_.magic != kEdgeFileMagic) {
+      ::close(fd_);
+      throw std::runtime_error("bad or truncated edge file: " + path);
+    }
+    bytes_ = static_cast<uint64_t>(st.st_size);
+  }
+  ~BinaryEdgeFile() { ::close(fd_); }
+  BinaryEdgeFile(const BinaryEdgeFile&) = delete;
+  BinaryEdgeFile& operator=(const BinaryEdgeFile&) = delete;
+
+  int fd() const { return fd_; }
+  const EdgeFileHeader& header() const { return header_; }
+  uint64_t bytes() const { return bytes_; }
+
+ private:
+  int fd_;
+  EdgeFileHeader header_;
+  uint64_t bytes_ = 0;
+};
 
 }  // namespace
 
@@ -58,40 +109,58 @@ void WriteBinaryEdges(const std::string& path, const EdgeList& graph) {
 }
 
 EdgeFileHeader ReadEdgeFileHeader(const std::string& path) {
-  UniqueFile file = OpenOrThrow(path, "rb");
-  EdgeFileHeader header;
-  ReadOrThrow(file.get(), &header, sizeof(header), path);
-  if (header.magic != kEdgeFileMagic) {
-    throw std::runtime_error("bad magic in " + path);
-  }
-  return header;
+  return BinaryEdgeFile(path).header();
 }
 
 EdgeList ReadBinaryEdges(const std::string& path) {
-  UniqueFile file = OpenOrThrow(path, "rb");
-  EdgeFileHeader header;
-  ReadOrThrow(file.get(), &header, sizeof(header), path);
-  if (header.magic != kEdgeFileMagic) {
-    throw std::runtime_error("bad magic in " + path);
-  }
+  const BinaryEdgeFile file(path);
+  const EdgeFileHeader& header = file.header();
+  const int fd = file.fd();
   // Check the declared sections against the physical size before sizing
   // buffers, so a corrupt edge count fails cleanly instead of OOMing.
-  if (std::fseek(file.get(), 0, SEEK_END) != 0) {
-    throw std::runtime_error("seek failed on " + path);
-  }
-  const uint64_t file_bytes = static_cast<uint64_t>(std::ftell(file.get()));
-  ValidateEdgeFileSize(header, file_bytes, path);
-  std::fseek(file.get(), sizeof(EdgeFileHeader), SEEK_SET);
+  ValidateEdgeFileSize(header, file.bytes(), path);
+
+  // Sized, not written: each chunk's pread below writes its slots.
+  const uint64_t m = header.num_edges;
   EdgeList graph;
   graph.set_num_vertices(header.num_vertices);
-  graph.mutable_edges().resize(header.num_edges);
-  ReadOrThrow(file.get(), graph.mutable_edges().data(), header.num_edges * sizeof(Edge), path);
-  if (header.has_weights()) {
-    graph.mutable_weights().resize(header.num_edges);
-    ReadOrThrow(file.get(), graph.mutable_weights().data(), header.num_edges * sizeof(float),
-                path);
+  graph.mutable_edges().resize(m);
+  graph.mutable_weights().resize(header.has_weights() ? m : 0);
+  Edge* const edges = graph.mutable_edges().data();
+  float* const weights = graph.mutable_weights().data();
+  const uint64_t weights_at = sizeof(EdgeFileHeader) + m * sizeof(Edge);
+
+  // Chunks ride the pool one at a time; a chunk reads its edges and their
+  // weights with positional reads (no shared file offset) and validates its
+  // own endpoints. Failures are flagged, not thrown, inside the pool.
+  std::atomic<bool> truncated{false};
+  std::atomic<bool> out_of_range{false};
+  const int64_t num_chunks =
+      static_cast<int64_t>((m + kBinaryReadChunkEdges - 1) / kBinaryReadChunkEdges);
+  ParallelForGrain(0, num_chunks, /*grain=*/1, [&](int64_t c) {
+    const uint64_t lo = static_cast<uint64_t>(c) * kBinaryReadChunkEdges;
+    const uint64_t count = std::min<uint64_t>(kBinaryReadChunkEdges, m - lo);
+    if (!PreadFully(fd, edges + lo, count * sizeof(Edge),
+                    sizeof(EdgeFileHeader) + lo * sizeof(Edge)) ||
+        (header.has_weights() &&
+         !PreadFully(fd, weights + lo, count * sizeof(float), weights_at + lo * sizeof(float)))) {
+      truncated.store(true, std::memory_order_relaxed);
+      return;
+    }
+    VertexId max_endpoint = 0;
+    for (uint64_t i = lo; i < lo + count; ++i) {
+      max_endpoint = std::max({max_endpoint, edges[i].src, edges[i].dst});
+    }
+    if (max_endpoint >= header.num_vertices) {
+      out_of_range.store(true, std::memory_order_relaxed);
+    }
+  });
+  if (truncated.load(std::memory_order_relaxed)) {
+    throw std::runtime_error("truncated read from " + path);
   }
-  ValidateEdgeChunk(graph.edges(), header.num_vertices, path);
+  if (out_of_range.load(std::memory_order_relaxed)) {
+    throw std::runtime_error("edge endpoint out of range in " + path);
+  }
   return graph;
 }
 

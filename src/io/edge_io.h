@@ -35,8 +35,16 @@ static_assert(sizeof(EdgeFileHeader) == 24);
 // Writes `graph` to `path`. Throws std::runtime_error on I/O failure.
 void WriteBinaryEdges(const std::string& path, const EdgeList& graph);
 
-// Reads a full graph. Throws std::runtime_error on missing/corrupt/truncated
-// input (bad magic, size mismatch).
+// Edges per chunk of ReadBinaryEdges (1 MiB of edges, 512 KiB of weights).
+inline constexpr uint64_t kBinaryReadChunkEdges = uint64_t{1} << 17;
+
+// Reads a full graph, unthrottled: the header and file-size checks run
+// first, then the edge and weight arrays are allocated without being
+// written, and the pool reads them in chunks of kBinaryReadChunkEdges with
+// positional reads; each chunk's pread writes its slots and its reader
+// validates that chunk's endpoints. Throws std::runtime_error on
+// missing/corrupt/truncated input (bad magic, size mismatch, an endpoint
+// >= num_vertices).
 EdgeList ReadBinaryEdges(const std::string& path);
 
 // Reads just the header (for streaming loaders).

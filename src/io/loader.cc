@@ -69,8 +69,12 @@ EdgeList LoadEdges(const std::string& path, StorageMedium medium, double* second
   obs::ScopedPhase phase(obs::Phase::kLoad);
   Timer timer;
   EdgeList graph;
-  ThrottledFileReader reader(path, medium);
-  StreamEdges(path, 8u << 20, graph, reader, [](uint64_t, uint64_t) {});
+  if (medium.bandwidth_bytes_per_sec <= 0.0) {
+    graph = ReadBinaryEdges(path);
+  } else {
+    ThrottledFileReader reader(path, medium);
+    StreamEdges(path, 8u << 20, graph, reader, [](uint64_t, uint64_t) {});
+  }
   obs::Registry::Get().GetCounter("io.edges_loaded").Add(
       static_cast<int64_t>(graph.num_edges()));
   if (seconds != nullptr) {

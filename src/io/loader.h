@@ -62,8 +62,13 @@ struct LoadBuildOptions {
 // vertex count. Throws std::runtime_error on malformed input.
 LoadBuildResult LoadAndBuild(const std::string& path, const LoadBuildOptions& options);
 
-// Plain streaming load with no pre-processing (the edge-array layout's full
-// "pre-processing": nothing). Returns the graph and the wall time.
+// Plain load with no pre-processing (the edge-array layout's full
+// "pre-processing": nothing). Returns the graph and the wall time. An
+// unthrottled medium (kMediumMemory) is read by ReadBinaryEdges: positional
+// reads across the pool into edge/weight arrays that are allocated but not
+// written, each chunk validated by its reader. A throttled medium streams
+// through ThrottledFileReader on one thread, on the medium's delivery
+// schedule; its reads write every slot of the arrays it sized.
 EdgeList LoadEdges(const std::string& path, StorageMedium medium, double* seconds = nullptr);
 
 }  // namespace egraph

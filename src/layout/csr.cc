@@ -9,8 +9,8 @@
 
 namespace egraph {
 
-void Csr::Init(VertexId num_vertices, std::vector<EdgeIndex> offsets,
-               std::vector<VertexId> neighbors, std::vector<float> weights) {
+void Csr::Init(VertexId num_vertices, UninitVector<EdgeIndex> offsets,
+               UninitVector<VertexId> neighbors, UninitVector<float> weights) {
   assert(offsets.size() == static_cast<size_t>(num_vertices) + 1);
   assert(weights.empty() || weights.size() == neighbors.size());
   num_vertices_ = num_vertices;

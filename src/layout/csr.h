@@ -1,6 +1,14 @@
 // Compressed Sparse Row adjacency lists: per-vertex edge arrays stored
 // contiguously (paper section 3.2, "the edges are stored contiguously in
 // memory, corresponding to compressed sparse row format").
+//
+// The three arrays are UninitVectors: a builder sizes them without writing
+// them, and its own parallel pass writes every slot exactly once (the radix
+// build's place pass writes offsets[v] for each bucket's vertex range, then
+// offsets[n], and scatters each edge into neighbors/weights; MergeCsr's fill
+// pass writes each vertex's merged slice). That pass is also the first touch
+// of the pages. Builders that count into the offsets size them with an
+// explicit zero (`UninitVector<EdgeIndex>(n + 1, 0)`).
 #ifndef SRC_LAYOUT_CSR_H_
 #define SRC_LAYOUT_CSR_H_
 
@@ -8,6 +16,7 @@
 #include <vector>
 
 #include "src/graph/types.h"
+#include "src/util/uninit_vector.h"
 
 namespace egraph {
 
@@ -40,13 +49,13 @@ class Csr {
     return weights_.empty() ? 1.0f : weights_[position];
   }
 
-  const std::vector<EdgeIndex>& offsets() const { return offsets_; }
-  const std::vector<VertexId>& neighbors() const { return neighbors_; }
-  const std::vector<float>& weights() const { return weights_; }
+  const UninitVector<EdgeIndex>& offsets() const { return offsets_; }
+  const UninitVector<VertexId>& neighbors() const { return neighbors_; }
+  const UninitVector<float>& weights() const { return weights_; }
 
-  // Builder access (used by csr_builder.cc only).
-  void Init(VertexId num_vertices, std::vector<EdgeIndex> offsets,
-            std::vector<VertexId> neighbors, std::vector<float> weights);
+  // Builder access (the CSR builders, range partitions and snapshot merges).
+  void Init(VertexId num_vertices, UninitVector<EdgeIndex> offsets,
+            UninitVector<VertexId> neighbors, UninitVector<float> weights);
 
   // Sorts every per-vertex neighbor slice by neighbor id, in parallel —
   // the "sorted adjacency list" cache optimization of paper section 5.1.
@@ -61,9 +70,9 @@ class Csr {
 
  private:
   VertexId num_vertices_ = 0;
-  std::vector<EdgeIndex> offsets_;   // size num_vertices_ + 1
-  std::vector<VertexId> neighbors_;  // size num_edges
-  std::vector<float> weights_;       // empty or size num_edges
+  UninitVector<EdgeIndex> offsets_;   // size num_vertices_ + 1
+  UninitVector<VertexId> neighbors_;  // size num_edges
+  UninitVector<float> weights_;       // empty or size num_edges
 };
 
 }  // namespace egraph

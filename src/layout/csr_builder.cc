@@ -55,9 +55,11 @@ Csr BuildRadix(const EdgeList& graph, EdgeDirection direction, int digit_bits,
   const auto& edges = graph.edges();
   const VertexId n = graph.num_vertices();
   const size_t m = edges.size();
-  std::vector<EdgeIndex> offsets(static_cast<size_t>(n) + 1, 0);
-  std::vector<VertexId> neighbors(m);
-  std::vector<float> weights(kWeighted ? m : 0);
+  // Sized, not written: the place pass writes every slot (and first-touches
+  // the pages on the thread that uses them).
+  UninitVector<EdgeIndex> offsets(static_cast<size_t>(n) + 1);
+  UninitVector<VertexId> neighbors(m);
+  UninitVector<float> weights(kWeighted ? m : 0);
   const int key_bits = n <= 1 ? 1 : std::bit_width(n - 1);
   const int shift = std::max(key_bits - digit_bits, 0);
   const size_t num_buckets = n == 0 ? 0 : (static_cast<size_t>(n - 1) >> shift) + 1;
@@ -122,7 +124,7 @@ Csr BuildCount(const EdgeList& graph, EdgeDirection direction, double* seconds) 
   // part the paper calls out). Counts live at offsets[v]; the exclusive scan
   // over the n+1 slots (last slot 0) then yields standard CSR offsets with
   // offsets[n] == m.
-  std::vector<EdgeIndex> offsets(static_cast<size_t>(n) + 1, 0);
+  UninitVector<EdgeIndex> offsets(static_cast<size_t>(n) + 1, 0);
   {
     obs::TimelineSpan count_span("layout", "build.count.count",
                                  static_cast<int64_t>(m));
@@ -141,11 +143,8 @@ Csr BuildCount(const EdgeList& graph, EdgeDirection direction, double* seconds) 
     cursors[static_cast<size_t>(v)].store(offsets[static_cast<size_t>(v)],
                                           std::memory_order_relaxed);
   });
-  std::vector<VertexId> neighbors(m);
-  std::vector<float> weights;
-  if (graph.has_weights()) {
-    weights.resize(m);
-  }
+  UninitVector<VertexId> neighbors(m);
+  UninitVector<float> weights(graph.has_weights() ? m : 0);
   ParallelFor(0, static_cast<int64_t>(m), [&](int64_t i) {
     const Edge& e = edges[static_cast<size_t>(i)];
     const VertexId v = KeyOf(e, direction);
@@ -261,16 +260,13 @@ Csr DynamicAdjacencyBuilder::Finalize(double* flatten_seconds) {
   obs::TimelineSpan timeline_span("layout", "build.dynamic.flatten");
   Impl& impl = *impl_;
   const VertexId n = impl.num_vertices;
-  std::vector<EdgeIndex> offsets(static_cast<size_t>(n) + 1, 0);
+  UninitVector<EdgeIndex> offsets(static_cast<size_t>(n) + 1, 0);
   for (VertexId v = 0; v < n; ++v) {
     offsets[v + 1] = offsets[v] + impl.adjacency[v].size();
   }
   const EdgeIndex m = offsets[n];
-  std::vector<VertexId> neighbors(m);
-  std::vector<float> weights;
-  if (impl.weighted) {
-    weights.resize(m);
-  }
+  UninitVector<VertexId> neighbors(m);
+  UninitVector<float> weights(impl.weighted ? m : 0);
   ParallelFor(0, static_cast<int64_t>(n), [&](int64_t v) {
     const EdgeIndex base = offsets[static_cast<size_t>(v)];
     const auto& list = impl.adjacency[static_cast<size_t>(v)];
@@ -340,7 +336,7 @@ Csr CountingAdjacencyBuilder::Scatter(const EdgeList& graph, double* scatter_sec
   obs::TimelineSpan timeline_span("layout", "build.count.scatter",
                                   static_cast<int64_t>(graph.edges().size()));
   const VertexId n = num_vertices_;
-  std::vector<EdgeIndex> offsets(static_cast<size_t>(n) + 1, 0);
+  UninitVector<EdgeIndex> offsets(static_cast<size_t>(n) + 1, 0);
   for (VertexId v = 0; v < n; ++v) {
     offsets[v + 1] = offsets[v] + degrees_[v];
   }
@@ -350,11 +346,8 @@ Csr CountingAdjacencyBuilder::Scatter(const EdgeList& graph, double* scatter_sec
                                           std::memory_order_relaxed);
   });
   const auto& edges = graph.edges();
-  std::vector<VertexId> neighbors(edges.size());
-  std::vector<float> weights;
-  if (graph.has_weights()) {
-    weights.resize(edges.size());
-  }
+  UninitVector<VertexId> neighbors(edges.size());
+  UninitVector<float> weights(graph.has_weights() ? edges.size() : 0);
   ParallelFor(0, static_cast<int64_t>(edges.size()), [&](int64_t i) {
     const Edge& e = edges[static_cast<size_t>(i)];
     const VertexId v = KeyOf(e, direction_);

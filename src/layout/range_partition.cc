@@ -16,9 +16,9 @@ namespace {
 
 // Derives standard CSR offsets over [0, num_vertices) from a key-sorted edge
 // segment (streaming boundary pass, total work O(V + E)).
-std::vector<EdgeIndex> OffsetsFromSortedSegment(const Edge* edges, uint64_t count,
-                                                VertexId num_vertices, bool key_is_src) {
-  std::vector<EdgeIndex> offsets(static_cast<size_t>(num_vertices) + 1);
+UninitVector<EdgeIndex> OffsetsFromSortedSegment(const Edge* edges, uint64_t count,
+                                                 VertexId num_vertices, bool key_is_src) {
+  UninitVector<EdgeIndex> offsets(static_cast<size_t>(num_vertices) + 1, 0);
   auto key_of = [key_is_src](const Edge& e) { return key_is_src ? e.src : e.dst; };
   if (count == 0) {
     return offsets;
@@ -39,9 +39,9 @@ std::vector<EdgeIndex> OffsetsFromSortedSegment(const Edge* edges, uint64_t coun
 
 Csr CsrFromSortedSegment(const Edge* edges, uint64_t count, VertexId num_vertices,
                          bool key_is_src) {
-  std::vector<EdgeIndex> offsets =
+  UninitVector<EdgeIndex> offsets =
       OffsetsFromSortedSegment(edges, count, num_vertices, key_is_src);
-  std::vector<VertexId> neighbors(count);
+  UninitVector<VertexId> neighbors(count);
   ParallelFor(0, static_cast<int64_t>(count), [&](int64_t i) {
     neighbors[static_cast<size_t>(i)] = key_is_src ? edges[i].dst : edges[i].src;
   });

@@ -103,7 +103,10 @@ Csr MergeCsr(const Csr& base, std::span<const PairEffect> effects,
 
   // Pass 1: new degree per vertex. Tombstoned copies are counted by binary
   // search over the (sorted) base slice.
-  std::vector<EdgeIndex> offsets(static_cast<size_t>(n) + 1, 0);
+  // Sized, not written: pass 1 writes offsets[0, n), offsets[n] is the
+  // scan's zero sentinel, and pass 3 writes every slot of `neighbors`.
+  UninitVector<EdgeIndex> offsets(static_cast<size_t>(n) + 1);
+  offsets[static_cast<size_t>(n)] = 0;
   std::atomic<EdgeIndex> tombstoned{0};
   std::atomic<EdgeIndex> inserted{0};
   ParallelForEdgeBalanced(n, /*min_chunk_cost=*/4096, cost, [&](int64_t lo, int64_t hi, int) {
@@ -138,7 +141,7 @@ Csr MergeCsr(const Csr& base, std::span<const PairEffect> effects,
   // Pass 3: fill. Untouched vertices are a straight copy of their base
   // slice; touched vertices run the two-pointer merge with the tombstone
   // filter. Both sides are dst-sorted, so the output is too.
-  std::vector<VertexId> neighbors(total);
+  UninitVector<VertexId> neighbors(total);
   ParallelForEdgeBalanced(n, /*min_chunk_cost=*/4096, cost, [&](int64_t lo, int64_t hi, int) {
     for (int64_t i = lo; i < hi; ++i) {
       const VertexId v = static_cast<VertexId>(i);

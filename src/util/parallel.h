@@ -170,11 +170,11 @@ T ParallelReduceMax(int64_t begin, int64_t end, T init, Body&& body) {
                               std::forward<Body>(body));
 }
 
-template <typename T>
-T ParallelExclusiveScan(ThreadPool& pool, std::vector<T>& values);
+template <typename T, typename Alloc>
+T ParallelExclusiveScan(ThreadPool& pool, std::vector<T, Alloc>& values);
 
-template <typename T>
-T ParallelExclusiveScan(std::vector<T>& values) {
+template <typename T, typename Alloc>
+T ParallelExclusiveScan(std::vector<T, Alloc>& values) {
   return ParallelExclusiveScan(ThreadPool::Current(), values);
 }
 
@@ -305,8 +305,8 @@ void ParallelForEdgeBalanced(int64_t n, int64_t min_chunk_cost, Cost&& cost, Bod
 // In-place parallel exclusive prefix sum over `values`; returns the grand
 // total. Two-pass blocked scan: per-block sums, serial scan of block sums,
 // then per-block local scans.
-template <typename T>
-T ParallelExclusiveScan(ThreadPool& pool, std::vector<T>& values) {
+template <typename T, typename Alloc>
+T ParallelExclusiveScan(ThreadPool& pool, std::vector<T, Alloc>& values) {
   const int64_t n = static_cast<int64_t>(values.size());
   if (n == 0) {
     return T{};

@@ -1,5 +1,6 @@
 // Adversarial I/O suite: hostile binary inputs (truncated sections, bad
-// magic, absurd edge counts, out-of-range endpoints), hostile text inputs
+// magic, absurd edge counts, out-of-range endpoints) against every binary
+// reader, a LoadEdges/ReadBinaryEdges round trip, hostile text inputs
 // (overlong lines, negative/overflowing ids, trailing junk), the weighted
 // kDynamic regression (weights must survive the overlapped pipeline), and a
 // sequential-vs-pipelined loader differential across all build methods.
@@ -25,6 +26,7 @@
 #include "src/layout/compressed_csr.h"
 #include "src/layout/csr.h"
 #include "src/layout/csr_builder.h"
+#include "src/util/rng.h"
 
 namespace egraph {
 namespace {
@@ -71,6 +73,35 @@ void CorruptAt(const std::string& path, uint64_t offset, const void* data,
   f.write(static_cast<const char*>(data), static_cast<std::streamsize>(size));
 }
 
+// A graph whose edge section spans two full read chunks of ReadBinaryEdges
+// plus a partial third, so chunk boundaries and the short last chunk are
+// exercised.
+EdgeList MultiChunkGraph(bool weighted) {
+  constexpr VertexId kVertices = 5000;
+  const uint64_t num_edges = 2 * kBinaryReadChunkEdges + 12345;
+  EdgeList graph;
+  graph.set_num_vertices(kVertices);
+  graph.Reserve(num_edges);
+  uint64_t state = 99;
+  for (uint64_t i = 0; i < num_edges; ++i) {
+    graph.AddEdge(static_cast<VertexId>(SplitMix64(state) % kVertices),
+                  static_cast<VertexId>(SplitMix64(state) % kVertices));
+  }
+  if (weighted) {
+    graph.AssignRandomWeights(0.1f, 2.0f, 11);
+  }
+  return graph;
+}
+
+// The whole-file readers: LoadEdges on an unthrottled medium (the pool's
+// positional reads) and on a simulated SSD (the throttled stream), and
+// ReadBinaryEdges.
+void ExpectEdgeReadersReject(const std::string& path) {
+  EXPECT_THROW(LoadEdges(path, kMediumMemory), std::runtime_error);
+  EXPECT_THROW(LoadEdges(path, kMediumSsd), std::runtime_error);
+  EXPECT_THROW(ReadBinaryEdges(path), std::runtime_error);
+}
+
 std::vector<LoadBuildOptions> AllLoaderVariants(BuildMethod method) {
   std::vector<LoadBuildOptions> variants;
   for (const LoaderKind loader : {LoaderKind::kSequential, LoaderKind::kPipelined}) {
@@ -94,7 +125,7 @@ TEST_F(IoAdversarialTest, TruncatedHeaderRejectedByBothLoaders) {
   for (auto& options : AllLoaderVariants(BuildMethod::kDynamic)) {
     EXPECT_THROW(LoadAndBuild(path, options), std::runtime_error);
   }
-  EXPECT_THROW(ReadBinaryEdges(path), std::runtime_error);
+  ExpectEdgeReadersReject(path);
 }
 
 TEST_F(IoAdversarialTest, TruncatedEdgeSectionRejectedByBothLoaders) {
@@ -108,6 +139,7 @@ TEST_F(IoAdversarialTest, TruncatedEdgeSectionRejectedByBothLoaders) {
       EXPECT_THROW(LoadAndBuild(path, options), std::runtime_error);
     }
   }
+  ExpectEdgeReadersReject(path);
 }
 
 TEST_F(IoAdversarialTest, TruncatedWeightSectionRejectedByBothLoaders) {
@@ -117,7 +149,7 @@ TEST_F(IoAdversarialTest, TruncatedWeightSectionRejectedByBothLoaders) {
   for (auto& options : AllLoaderVariants(BuildMethod::kDynamic)) {
     EXPECT_THROW(LoadAndBuild(path, options), std::runtime_error);
   }
-  EXPECT_THROW(ReadBinaryEdges(path), std::runtime_error);
+  ExpectEdgeReadersReject(path);
 }
 
 TEST_F(IoAdversarialTest, BadMagicRejectedByBothLoaders) {
@@ -128,6 +160,8 @@ TEST_F(IoAdversarialTest, BadMagicRejectedByBothLoaders) {
   for (auto& options : AllLoaderVariants(BuildMethod::kRadixSort)) {
     EXPECT_THROW(LoadAndBuild(path, options), std::runtime_error);
   }
+  ExpectEdgeReadersReject(path);
+  EXPECT_THROW(ReadEdgeFileHeader(path), std::runtime_error);
 }
 
 // A corrupt edge count far larger than the file must fail the size check
@@ -140,7 +174,7 @@ TEST_F(IoAdversarialTest, AbsurdEdgeCountRejectedWithoutAllocation) {
   for (auto& options : AllLoaderVariants(BuildMethod::kDynamic)) {
     EXPECT_THROW(LoadAndBuild(path, options), std::runtime_error);
   }
-  EXPECT_THROW(ReadBinaryEdges(path), std::runtime_error);
+  ExpectEdgeReadersReject(path);
 
   // Overflow bait: num_edges * 12 wraps around uint64 if computed naively.
   const uint64_t wrap = UINT64_MAX / 6;
@@ -150,32 +184,68 @@ TEST_F(IoAdversarialTest, AbsurdEdgeCountRejectedWithoutAllocation) {
   for (auto& options : AllLoaderVariants(BuildMethod::kDynamic)) {
     EXPECT_THROW(LoadAndBuild(path, options), std::runtime_error);
   }
+  ExpectEdgeReadersReject(path);
 }
 
-// An endpoint >= num_vertices must be caught by per-chunk validation in both
-// loaders — otherwise it drives an out-of-bounds scatter inside the builders.
+// An endpoint >= num_vertices must be caught by per-chunk validation in every
+// loader — otherwise it drives an out-of-bounds scatter inside the builders.
+// The corrupt edge sits in the last (partial) read chunk of ReadBinaryEdges.
 TEST_F(IoAdversarialTest, OutOfRangeEndpointRejectedPerChunk) {
-  const EdgeList graph = SampleGraph(false);
+  const EdgeList graph = MultiChunkGraph(false);
   const std::string path = Path("g.bin");
-  WriteBinaryEdges(path, graph);
-  // Corrupt an edge near the end of the edge section (a late chunk).
-  const uint64_t last_edge_offset =
-      sizeof(EdgeFileHeader) + (graph.num_edges() - 2) * sizeof(Edge);
   const uint32_t out_of_range = graph.num_vertices() + 1000;
-  CorruptAt(path, last_edge_offset, &out_of_range, sizeof(out_of_range));
-  for (const BuildMethod method :
-       {BuildMethod::kDynamic, BuildMethod::kCountSort, BuildMethod::kRadixSort}) {
-    for (auto& options : AllLoaderVariants(method)) {
-      EXPECT_THROW(LoadAndBuild(path, options), std::runtime_error);
+  // Near the end of the edge section: the src of the second-to-last edge,
+  // then (separately) the dst of the very last edge.
+  for (const uint64_t offset :
+       {sizeof(EdgeFileHeader) + (graph.num_edges() - 2) * sizeof(Edge),
+        sizeof(EdgeFileHeader) + (graph.num_edges() - 1) * sizeof(Edge) + sizeof(VertexId)}) {
+    WriteBinaryEdges(path, graph);
+    CorruptAt(path, offset, &out_of_range, sizeof(out_of_range));
+    for (const BuildMethod method :
+         {BuildMethod::kDynamic, BuildMethod::kCountSort, BuildMethod::kRadixSort}) {
+      for (auto& options : AllLoaderVariants(method)) {
+        EXPECT_THROW(LoadAndBuild(path, options), std::runtime_error);
+      }
     }
+    ExpectEdgeReadersReject(path);
   }
-  EXPECT_THROW(ReadBinaryEdges(path), std::runtime_error);
 }
 
 TEST_F(IoAdversarialTest, EmptyFileRejected) {
   const std::string path = WriteText("empty.bin", "");
   for (auto& options : AllLoaderVariants(BuildMethod::kDynamic)) {
     EXPECT_THROW(LoadAndBuild(path, options), std::runtime_error);
+  }
+  ExpectEdgeReadersReject(path);
+}
+
+// Every whole-file reader returns exactly what WriteBinaryEdges wrote: no
+// edge count, vertex count, edge or weight slot lost or left unwritten.
+TEST_F(IoAdversarialTest, EdgeReadersRoundTripExactly) {
+  for (const bool weighted : {false, true}) {
+    EdgeList empty;
+    empty.set_num_vertices(3);
+    EdgeList single;
+    single.set_num_vertices(4);
+    if (weighted) {
+      single.AddWeightedEdge(3, 1, 0.75f);
+    } else {
+      single.AddEdge(3, 1);
+    }
+    EdgeList multi = MultiChunkGraph(weighted);
+    ASSERT_NE(multi.num_edges() % kBinaryReadChunkEdges, 0u);
+    for (const EdgeList* graph : {&empty, &single, &multi}) {
+      const std::string path = Path("rt.bin");
+      WriteBinaryEdges(path, *graph);
+      const EdgeList loaded[] = {LoadEdges(path, kMediumMemory), LoadEdges(path, kMediumSsd),
+                                 ReadBinaryEdges(path)};
+      for (const EdgeList& got : loaded) {
+        EXPECT_EQ(got.num_vertices(), graph->num_vertices());
+        EXPECT_EQ(got.has_weights(), graph->has_weights());
+        EXPECT_EQ(got.edges(), graph->edges());
+        EXPECT_EQ(got.weights(), graph->weights());
+      }
+    }
   }
 }
 

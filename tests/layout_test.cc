@@ -273,13 +273,15 @@ void ExpectRadixMatchesStableSort(const EdgeList& graph, EdgeDirection direction
   std::iota(order.begin(), order.end(), size_t{0});
   std::stable_sort(order.begin(), order.end(),
                    [&](size_t a, size_t b) { return key(a) < key(b); });
-  std::vector<EdgeIndex> offsets(static_cast<size_t>(graph.num_vertices()) + 1, 0);
+  // The expected arrays share the CSR's vector type, so EXPECT_EQ compares
+  // them element for element (size included).
+  UninitVector<EdgeIndex> offsets(static_cast<size_t>(graph.num_vertices()) + 1, 0);
   for (size_t i = 0; i < edges.size(); ++i) {
     ++offsets[key(i) + 1];
   }
   std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
-  std::vector<VertexId> neighbors;
-  std::vector<float> weights;
+  UninitVector<VertexId> neighbors;
+  UninitVector<float> weights;
   for (const size_t i : order) {
     neighbors.push_back(out ? edges[i].dst : edges[i].src);
     if (graph.has_weights()) {

@@ -17,6 +17,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/algos/bfs.h"
@@ -314,24 +315,36 @@ TEST(SnapshotTest, ConcurrentReadersDuringBackgroundRefreeze) {
   config.direction = Direction::kPush;
   config.sync = Sync::kAtomics;
 
+  constexpr int kReaders = 4;
   std::atomic<bool> done{false};
   std::atomic<int> reads{0};
+  std::atomic<int> readers_started{0};  // readers that finished one BFS
   std::vector<std::thread> readers;
-  for (int t = 0; t < 4; ++t) {
+  for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&, t] {
       ExecutionContextOptions ctx_options;
       ctx_options.name = "snapshot.reader" + std::to_string(t);
       ctx_options.num_threads = 1;
       ExecutionContext ctx(ctx_options);
-      while (!done.load(std::memory_order_acquire)) {
+      bool first = true;
+      while (first || !done.load(std::memory_order_acquire)) {
         const Snapshot snap = store.Pin();
         const BfsResult run =
             RunBfs(*snap.handle, /*source=*/1, config, ctx);
         if (!run.parent.empty()) {
           reads.fetch_add(1, std::memory_order_relaxed);
         }
+        if (std::exchange(first, false)) {
+          readers_started.fetch_add(1, std::memory_order_release);
+        }
       }
     });
+  }
+  // Updates start only once every reader has completed a BFS, so the reads
+  // overlap the refreezes even when the readers start late on a loaded host
+  // (all 12 batches can otherwise publish before any reader begins).
+  while (readers_started.load(std::memory_order_acquire) < kReaders) {
+    std::this_thread::yield();
   }
 
   uint64_t state = 4242;
