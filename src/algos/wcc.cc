@@ -1,5 +1,7 @@
 #include "src/algos/wcc.h"
 
+#include <utility>
+
 #include "src/algos/dispatch.h"
 #include "src/algos/functors.h"
 #include "src/obs/phase.h"
@@ -8,6 +10,29 @@
 #include "src/util/timer.h"
 
 namespace egraph {
+namespace {
+
+// Root of v's union-find tree, halving the path on the way up. Links hang a
+// root under a smaller root and halving swaps a parent for its smaller
+// grandparent, so parent[x] <= x holds throughout and every value a thread
+// reads is an ancestor. Halving by CAS keeps a non-root's parent
+// decreasing: a stale halving cannot overwrite a newer one, nor the root
+// the flattening pass stored.
+VertexId FindRoot(VertexId* parent, VertexId v) {
+  while (true) {
+    const VertexId p = AtomicLoad(&parent[v]);
+    if (p == v) {
+      return v;
+    }
+    const VertexId grandparent = AtomicLoad(&parent[p]);
+    if (grandparent != p) {
+      AtomicCas(&parent[v], p, grandparent);
+    }
+    v = grandparent;
+  }
+}
+
+}  // namespace
 
 WccResult RunWcc(GraphHandle& handle, const RunConfig& config, ExecutionContext& ctx) {
   ExecutionContext::Scope exec_scope(ctx);
@@ -28,36 +53,42 @@ WccResult RunWcc(GraphHandle& handle, const RunConfig& config, ExecutionContext&
     WccFunctor func{result.label.data()};
     RunFrontierRounds(handle, config, ctx, Frontier::All(n), func, result.stats, trace);
   } else {
-    // Edge array / grid: full scans updating *both* endpoints per stored
-    // edge (no symmetrization needed), iterated to fixpoint.
-    VertexId* label = result.label.data();
-    std::atomic<bool> changed{true};
-    auto relax = [label, &changed](VertexId a, VertexId b, float /*w*/) {
-      const VertexId la = AtomicLoad(&label[a]);
-      const VertexId lb = AtomicLoad(&label[b]);
-      if (la < lb) {
-        if (AtomicMin(&label[b], la)) {
-          changed.store(true, std::memory_order_relaxed);
+    // Edge array / grid: one concurrent union-find pass over the stored
+    // edges (no symmetrization needed), the labels serving as parents. Each
+    // edge links the larger of its endpoints' roots under the smaller one,
+    // retrying if another thread relinked that root first. One find per
+    // vertex then flattens each tree onto its root: the component's
+    // smallest id, under any thread schedule.
+    VertexId* parent = result.label.data();
+    auto unite = [parent](VertexId a, VertexId b, float /*w*/) {
+      if (AtomicLoad(&parent[a]) == AtomicLoad(&parent[b])) {
+        return;  // same parent, same tree: no finds needed
+      }
+      while (true) {
+        a = FindRoot(parent, a);
+        b = FindRoot(parent, b);
+        if (a == b) {
+          return;
         }
-      } else if (lb < la) {
-        if (AtomicMin(&label[a], lb)) {
-          changed.store(true, std::memory_order_relaxed);
+        if (a < b) {
+          std::swap(a, b);
+        }
+        if (AtomicCas(&parent[a], a, b)) {
+          return;
         }
       }
     };
-    while (changed.load(std::memory_order_relaxed)) {
-      changed.store(false, std::memory_order_relaxed);
-      Timer iteration;
-      trace.BeginIteration(n, /*frontier_sparse=*/false);
-      if (config.layout == Layout::kEdgeArray) {
-        ScanEdgeArray(handle.edges(), relax);
-      } else {
-        ScanGridRowMajor(handle.grid(), config.balance, relax);
-      }
-      trace.EndIteration(config.direction);
-      result.stats.per_iteration_seconds.push_back(iteration.Seconds());
-      ++result.stats.iterations;
+    Timer iteration;
+    trace.BeginIteration(n, /*frontier_sparse=*/false);
+    if (config.layout == Layout::kEdgeArray) {
+      ScanEdgeArray(handle.edges(), unite);
+    } else {
+      ScanGridRowMajor(handle.grid(), config.balance, unite);
     }
+    VertexMap(n, [parent](VertexId v) { AtomicStore(&parent[v], FindRoot(parent, v)); });
+    trace.EndIteration(config.direction);
+    result.stats.per_iteration_seconds.push_back(iteration.Seconds());
+    result.stats.iterations = 1;
   }
   result.stats.algorithm_seconds = total.Seconds();
   return result;

@@ -1,10 +1,14 @@
-// Weakly connected components via label propagation: every vertex starts
-// with its own id as label; the minimum label floods each component.
+// Weakly connected components; label[v] is the smallest id in v's component.
 //
-// Layout note (paper section 8): on adjacency lists the input must be
-// symmetrized first (EdgeList::MakeUndirected), doubling the CSR build cost —
-// charge it as pre-processing. Edge arrays and grids need no symmetrization:
-// the scan propagates labels in both directions of each stored edge.
+// - Edge array and grid: one concurrent union-find pass over the stored
+//   edges (each edge links the larger root under the smaller with a CAS),
+//   then one find per vertex. One pass at any diameter, and no
+//   symmetrization: an edge joins its endpoints whichever way it points.
+// - Adjacency and compressed: Ligra-style frontier label propagation (the
+//   paper's row): every vertex starts with its own id and the minimum floods
+//   each component, one round per unit of diameter. The input must be
+//   symmetrized first (EdgeList::MakeUndirected, paper section 8), doubling
+//   the CSR build cost — charge it as pre-processing.
 #ifndef SRC_ALGOS_WCC_H_
 #define SRC_ALGOS_WCC_H_
 

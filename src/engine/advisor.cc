@@ -32,8 +32,13 @@ Recommendation Advise(const AlgorithmTraits& algorithm, const GraphStats& graph,
     rec.rationale = "single-pass: any pre-processing is unamortizable";
   } else if (algorithm.subset_active) {
     if (algorithm.needs_undirected && !low_degree) {
-      // WCC on low-diameter graphs: symmetrization doubles adjacency-list
-      // cost, and convergence is fast -> edge array (paper Table 6).
+      // WCC on low-diameter graphs -> edge array (paper Table 6): no
+      // symmetrization, no doubled adjacency-list build. The paper sends
+      // high-diameter graphs to adjacency because its edge-array WCC pays a
+      // full scan per propagation round; this library's edge-array WCC is
+      // one union-find pass at any diameter, so that branch reproduces the
+      // paper's choice, not the cheaper kernel (bench_table6_best_others
+      // times both sides).
       rec.layout = Layout::kEdgeArray;
       rec.direction = Direction::kPush;
       rec.sync = Sync::kAtomics;

@@ -61,8 +61,8 @@ bool PreadFully(int fd, void* data, size_t bytes, uint64_t offset) {
   return true;
 }
 
-// An open binary edge file whose header has been read and whose magic has
-// been checked. Throws std::runtime_error otherwise.
+// An open binary edge file whose preamble has passed CheckEdgeFilePreamble.
+// Throws std::runtime_error otherwise.
 class BinaryEdgeFile {
  public:
   explicit BinaryEdgeFile(const std::string& path)
@@ -71,12 +71,14 @@ class BinaryEdgeFile {
       throw std::runtime_error("cannot open " + path);
     }
     struct stat st {};
-    if (::fstat(fd_, &st) != 0 || !PreadFully(fd_, &header_, sizeof(header_), 0) ||
-        header_.magic != kEdgeFileMagic) {
-      ::close(fd_);
-      throw std::runtime_error("bad or truncated edge file: " + path);
-    }
+    const bool read = ::fstat(fd_, &st) == 0 && PreadFully(fd_, &header_, sizeof(header_), 0);
     bytes_ = static_cast<uint64_t>(st.st_size);
+    try {
+      CheckEdgeFilePreamble(header_, read ? sizeof(header_) : 0, bytes_, path);
+    } catch (...) {
+      ::close(fd_);
+      throw;
+    }
   }
   ~BinaryEdgeFile() { ::close(fd_); }
   BinaryEdgeFile(const BinaryEdgeFile&) = delete;
@@ -116,9 +118,6 @@ EdgeList ReadBinaryEdges(const std::string& path) {
   const BinaryEdgeFile file(path);
   const EdgeFileHeader& header = file.header();
   const int fd = file.fd();
-  // Check the declared sections against the physical size before sizing
-  // buffers, so a corrupt edge count fails cleanly instead of OOMing.
-  ValidateEdgeFileSize(header, file.bytes(), path);
 
   // Sized, not written: each chunk's pread below writes its slots.
   const uint64_t m = header.num_edges;
@@ -176,8 +175,11 @@ void ValidateEdgeChunk(std::span<const Edge> edges, VertexId num_vertices,
   }
 }
 
-void ValidateEdgeFileSize(const EdgeFileHeader& header, uint64_t file_bytes,
-                          const std::string& path) {
+void CheckEdgeFilePreamble(const EdgeFileHeader& header, uint64_t header_bytes,
+                           uint64_t file_bytes, const std::string& path) {
+  if (header_bytes != sizeof(EdgeFileHeader) || header.magic != kEdgeFileMagic) {
+    throw std::runtime_error("bad or truncated edge file: " + path);
+  }
   // Per-edge cost: 8 bytes, plus 4 for the weight when present. Overflow
   // guard first: a garbage num_edges must not wrap the product.
   const uint64_t per_edge = sizeof(Edge) + (header.has_weights() ? sizeof(float) : 0);

@@ -47,20 +47,24 @@ inline constexpr uint64_t kBinaryReadChunkEdges = uint64_t{1} << 17;
 // >= num_vertices).
 EdgeList ReadBinaryEdges(const std::string& path);
 
-// Reads just the header (for streaming loaders).
+// Reads just the header (for streaming loaders), with the preamble checks
+// of CheckEdgeFilePreamble.
 EdgeFileHeader ReadEdgeFileHeader(const std::string& path);
+
+// The preamble check every binary reader runs before sizing a buffer from
+// the header: `header_bytes` bytes of `header` were read from the start of
+// a file of `file_bytes` bytes. Throws std::runtime_error on a short header
+// or a bad magic ("bad or truncated edge file"), and if the file cannot
+// contain the sections the header declares (overflow-safe, so a corrupt
+// edge count fails cleanly instead of OOMing).
+void CheckEdgeFilePreamble(const EdgeFileHeader& header, uint64_t header_bytes,
+                           uint64_t file_bytes, const std::string& path);
 
 // Throws std::runtime_error if any endpoint in `edges` is >= num_vertices.
 // Parallel scan; the loaders call this per streamed chunk so a corrupt file
 // cannot drive an out-of-bounds scatter in the builders.
 void ValidateEdgeChunk(std::span<const Edge> edges, VertexId num_vertices,
                        const std::string& path);
-
-// Throws std::runtime_error if a file of `file_bytes` bytes cannot contain
-// the sections `header` declares (overflow-safe). Loaders call this before
-// sizing buffers so a corrupt edge count fails cleanly instead of OOMing.
-void ValidateEdgeFileSize(const EdgeFileHeader& header, uint64_t file_bytes,
-                          const std::string& path);
 
 // Text interchange: one "src dst [weight]" line per edge; '#' comments
 // allowed. Vertex count is the max endpoint + 1 unless a "# vertices N"

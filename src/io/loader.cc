@@ -20,11 +20,7 @@ template <typename OnChunk>
 EdgeFileHeader StreamEdges(const std::string& path, size_t chunk_bytes, EdgeList& graph,
                            ThrottledFileReader& reader, OnChunk&& on_chunk) {
   EdgeFileHeader header;
-  if (reader.Read(&header, sizeof(header)) != sizeof(header) ||
-      header.magic != kEdgeFileMagic) {
-    throw std::runtime_error("bad or truncated edge file: " + path);
-  }
-  ValidateEdgeFileSize(header, reader.file_bytes(), path);
+  CheckEdgeFilePreamble(header, reader.Read(&header, sizeof(header)), reader.file_bytes(), path);
   graph.set_num_vertices(header.num_vertices);
   graph.mutable_edges().resize(header.num_edges);
   Edge* edges = graph.mutable_edges().data();

@@ -5,6 +5,8 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstring>
 #include <stdexcept>
 
 namespace egraph {
@@ -20,28 +22,30 @@ MappedEdgeFile::MappedEdgeFile(const std::string& path) {
     throw std::runtime_error("cannot stat " + path);
   }
   mapped_bytes_ = static_cast<size_t>(st.st_size);
-  if (mapped_bytes_ < sizeof(EdgeFileHeader)) {
-    ::close(fd);
-    throw std::runtime_error("file too small for header: " + path);
+  // An empty file cannot be mapped; the preamble check below rejects it.
+  if (mapped_bytes_ != 0) {
+    mapping_ = ::mmap(nullptr, mapped_bytes_, PROT_READ, MAP_PRIVATE, fd, 0);
   }
-  mapping_ = ::mmap(nullptr, mapped_bytes_, PROT_READ, MAP_PRIVATE, fd, 0);
   ::close(fd);  // the mapping keeps its own reference
   if (mapping_ == MAP_FAILED) {
     mapping_ = nullptr;
     throw std::runtime_error("mmap failed for " + path);
   }
 
-  header_ = static_cast<const EdgeFileHeader*>(mapping_);
-  if (header_->magic != kEdgeFileMagic) {
-    Unmap();
-    throw std::runtime_error("bad magic in " + path);
+  EdgeFileHeader header;
+  const size_t header_bytes = std::min(mapped_bytes_, sizeof(header));
+  if (header_bytes != 0) {
+    std::memcpy(&header, mapping_, header_bytes);
   }
+  try {
+    CheckEdgeFilePreamble(header, header_bytes, mapped_bytes_, path);
+  } catch (...) {
+    Unmap();
+    throw;
+  }
+  header_ = static_cast<const EdgeFileHeader*>(mapping_);
   const size_t edge_bytes = header_->num_edges * sizeof(Edge);
   const size_t weight_bytes = header_->has_weights() ? header_->num_edges * sizeof(float) : 0;
-  if (mapped_bytes_ < sizeof(EdgeFileHeader) + edge_bytes + weight_bytes) {
-    Unmap();
-    throw std::runtime_error("truncated edge file: " + path);
-  }
   const auto* base = static_cast<const char*>(mapping_) + sizeof(EdgeFileHeader);
   edges_ = {reinterpret_cast<const Edge*>(base), header_->num_edges};
   if (weight_bytes != 0) {

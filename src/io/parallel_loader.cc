@@ -83,13 +83,7 @@ EdgeFileHeader ParallelLoader::Load(const std::string& path, const Options& opti
   ThrottledFileReader reader(path, options.medium);
 
   EdgeFileHeader header;
-  if (reader.Read(&header, sizeof(header)) != sizeof(header) ||
-      header.magic != kEdgeFileMagic) {
-    throw std::runtime_error("bad or truncated edge file: " + path);
-  }
-  // Check the declared sections against the physical file before allocating:
-  // a corrupt edge count must fail cleanly, not OOM or scatter out of bounds.
-  ValidateEdgeFileSize(header, reader.file_bytes(), path);
+  CheckEdgeFilePreamble(header, reader.Read(&header, sizeof(header)), reader.file_bytes(), path);
 
   graph.set_num_vertices(header.num_vertices);
   graph.mutable_edges().resize(header.num_edges);

@@ -182,6 +182,13 @@ const char* BuildMethodName(BuildMethod method) {
 // DynamicAdjacencyBuilder
 
 struct DynamicAdjacencyBuilder::Impl {
+  Impl(VertexId n, EdgeDirection dir, bool with_weights)
+      : num_vertices(n),
+        direction(dir),
+        weighted(with_weights),
+        adjacency(n),
+        weight_lists(with_weights ? n : 0) {}
+
   VertexId num_vertices;
   EdgeDirection direction;
   bool weighted;
@@ -201,11 +208,7 @@ struct DynamicAdjacencyBuilder::Impl {
 
 DynamicAdjacencyBuilder::DynamicAdjacencyBuilder(VertexId num_vertices, EdgeDirection direction,
                                                  bool weighted)
-    : impl_(new Impl{num_vertices, direction, weighted,
-                     std::vector<std::vector<VertexId>>(num_vertices),
-                     weighted ? std::vector<std::vector<float>>(num_vertices)
-                              : std::vector<std::vector<float>>(),
-                     {}}) {}
+    : impl_(new Impl(num_vertices, direction, weighted)) {}
 
 DynamicAdjacencyBuilder::~DynamicAdjacencyBuilder() = default;
 

@@ -49,7 +49,7 @@ inline uint64_t ChecksumSssp(const std::vector<float>& dist) {
 }
 
 inline uint64_t ChecksumWcc(const std::vector<VertexId>& label) {
-  // Label propagation converges to the minimum vertex id per component:
+  // Every WCC kernel labels a vertex with its component's minimum id:
   // deterministic regardless of execution interleaving.
   uint64_t sum = 0;
   for (VertexId v = 0; v < static_cast<VertexId>(label.size()); ++v) {

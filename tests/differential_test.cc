@@ -184,7 +184,7 @@ TEST_P(DifferentialTest, WccMatchesReference) {
   for (const TestGraph& g : *graphs_) {
     // Adjacency-list WCC (plain or compressed) propagates labels along
     // stored edges only, so it runs on the symmetrized graph (paper section
-    // 8); edge-array and grid relax both endpoints of each stored edge and
+    // 8); edge-array and grid union both endpoints of each stored edge and
     // need no symmetrization.
     const bool adjacency_like =
         config.layout == Layout::kAdjacency || config.layout == Layout::kCompressed;

@@ -21,6 +21,7 @@
 #include "src/io/compressed_io.h"
 #include "src/io/edge_io.h"
 #include "src/io/loader.h"
+#include "src/io/mmap_file.h"
 #include "src/io/parallel_loader.h"
 #include "src/io/storage_sim.h"
 #include "src/layout/compressed_csr.h"
@@ -102,6 +103,15 @@ void ExpectEdgeReadersReject(const std::string& path) {
   EXPECT_THROW(ReadBinaryEdges(path), std::runtime_error);
 }
 
+// A bad preamble (short header, bad magic, sections the file cannot hold)
+// must also stop the readers that never touch the edge section's contents:
+// the zero-copy mapping and the header read.
+void ExpectPreambleRejected(const std::string& path) {
+  ExpectEdgeReadersReject(path);
+  EXPECT_THROW(MappedEdgeFile{path}, std::runtime_error);
+  EXPECT_THROW(ReadEdgeFileHeader(path), std::runtime_error);
+}
+
 std::vector<LoadBuildOptions> AllLoaderVariants(BuildMethod method) {
   std::vector<LoadBuildOptions> variants;
   for (const LoaderKind loader : {LoaderKind::kSequential, LoaderKind::kPipelined}) {
@@ -125,7 +135,7 @@ TEST_F(IoAdversarialTest, TruncatedHeaderRejectedByBothLoaders) {
   for (auto& options : AllLoaderVariants(BuildMethod::kDynamic)) {
     EXPECT_THROW(LoadAndBuild(path, options), std::runtime_error);
   }
-  ExpectEdgeReadersReject(path);
+  ExpectPreambleRejected(path);
 }
 
 TEST_F(IoAdversarialTest, TruncatedEdgeSectionRejectedByBothLoaders) {
@@ -139,7 +149,7 @@ TEST_F(IoAdversarialTest, TruncatedEdgeSectionRejectedByBothLoaders) {
       EXPECT_THROW(LoadAndBuild(path, options), std::runtime_error);
     }
   }
-  ExpectEdgeReadersReject(path);
+  ExpectPreambleRejected(path);
 }
 
 TEST_F(IoAdversarialTest, TruncatedWeightSectionRejectedByBothLoaders) {
@@ -149,7 +159,7 @@ TEST_F(IoAdversarialTest, TruncatedWeightSectionRejectedByBothLoaders) {
   for (auto& options : AllLoaderVariants(BuildMethod::kDynamic)) {
     EXPECT_THROW(LoadAndBuild(path, options), std::runtime_error);
   }
-  ExpectEdgeReadersReject(path);
+  ExpectPreambleRejected(path);
 }
 
 TEST_F(IoAdversarialTest, BadMagicRejectedByBothLoaders) {
@@ -160,8 +170,7 @@ TEST_F(IoAdversarialTest, BadMagicRejectedByBothLoaders) {
   for (auto& options : AllLoaderVariants(BuildMethod::kRadixSort)) {
     EXPECT_THROW(LoadAndBuild(path, options), std::runtime_error);
   }
-  ExpectEdgeReadersReject(path);
-  EXPECT_THROW(ReadEdgeFileHeader(path), std::runtime_error);
+  ExpectPreambleRejected(path);
 }
 
 // A corrupt edge count far larger than the file must fail the size check
@@ -174,7 +183,7 @@ TEST_F(IoAdversarialTest, AbsurdEdgeCountRejectedWithoutAllocation) {
   for (auto& options : AllLoaderVariants(BuildMethod::kDynamic)) {
     EXPECT_THROW(LoadAndBuild(path, options), std::runtime_error);
   }
-  ExpectEdgeReadersReject(path);
+  ExpectPreambleRejected(path);
 
   // Overflow bait: num_edges * 12 wraps around uint64 if computed naively.
   const uint64_t wrap = UINT64_MAX / 6;
@@ -184,7 +193,7 @@ TEST_F(IoAdversarialTest, AbsurdEdgeCountRejectedWithoutAllocation) {
   for (auto& options : AllLoaderVariants(BuildMethod::kDynamic)) {
     EXPECT_THROW(LoadAndBuild(path, options), std::runtime_error);
   }
-  ExpectEdgeReadersReject(path);
+  ExpectPreambleRejected(path);
 }
 
 // An endpoint >= num_vertices must be caught by per-chunk validation in every
@@ -216,7 +225,7 @@ TEST_F(IoAdversarialTest, EmptyFileRejected) {
   for (auto& options : AllLoaderVariants(BuildMethod::kDynamic)) {
     EXPECT_THROW(LoadAndBuild(path, options), std::runtime_error);
   }
-  ExpectEdgeReadersReject(path);
+  ExpectPreambleRejected(path);
 }
 
 // Every whole-file reader returns exactly what WriteBinaryEdges wrote: no

@@ -1,11 +1,14 @@
 // WCC correctness: labels must equal the union-find reference (minimum
-// vertex id per weakly connected component) under every layout.
+// vertex id per weakly connected component) under every layout. The edge
+// array and grid run one concurrent union-find pass, so their cases target
+// link order: long chains, hubs with the largest id, bridges seen last.
 #include <gtest/gtest.h>
 
 #include "src/algos/reference.h"
 #include "src/algos/wcc.h"
 #include "src/gen/erdos_renyi.h"
 #include "src/gen/rmat.h"
+#include "src/gen/road.h"
 
 namespace egraph {
 namespace {
@@ -107,6 +110,109 @@ TEST(Wcc, EmptyGraphTrivialLabels) {
   for (VertexId v = 0; v < 7; ++v) {
     EXPECT_EQ(result.label[v], v);
   }
+}
+
+// Runs the union-find layouts (edge array, grid) on `graph` and checks each
+// against the reference, plus the single-pass trace.
+void ExpectUnionFindMatchesReference(const EdgeList& graph) {
+  const std::vector<VertexId> expected = RefWccLabels(graph);
+  for (const Layout layout : {Layout::kEdgeArray, Layout::kGrid}) {
+    GraphHandle handle(graph);
+    RunConfig config;
+    config.layout = layout;
+    const WccResult result = RunWcc(handle, config);
+    EXPECT_EQ(result.label, expected) << LayoutName(layout);
+    EXPECT_EQ(result.stats.iterations, 1) << LayoutName(layout);
+  }
+}
+
+TEST(WccUnionFind, NoVerticesAndOneVertex) {
+  EdgeList empty;
+  ExpectUnionFindMatchesReference(empty);
+  EdgeList single;
+  single.set_num_vertices(1);
+  ExpectUnionFindMatchesReference(single);
+  single.AddEdge(0, 0);
+  ExpectUnionFindMatchesReference(single);
+}
+
+TEST(WccUnionFind, PathListedInDescendingIdOrder) {
+  // Each edge hangs the previous root under the next smaller id, so the
+  // trees degenerate into one long chain unless finds halve it.
+  constexpr VertexId kN = 20000;
+  EdgeList graph;
+  graph.set_num_vertices(kN);
+  for (VertexId v = kN - 1; v > 0; --v) {
+    graph.AddEdge(v, v - 1);
+  }
+  ExpectUnionFindMatchesReference(graph);
+  EdgeList reversed;
+  reversed.set_num_vertices(kN);
+  for (VertexId v = kN - 1; v > 0; --v) {
+    reversed.AddEdge(v - 1, v);
+  }
+  ExpectUnionFindMatchesReference(reversed);
+}
+
+TEST(WccUnionFind, StarWithHubOfHighestId) {
+  constexpr VertexId kN = 10000;
+  EdgeList graph;
+  graph.set_num_vertices(kN);
+  for (VertexId v = 0; v + 1 < kN; ++v) {
+    if (v % 2 == 0) {
+      graph.AddEdge(kN - 1, v);
+    } else {
+      graph.AddEdge(v, kN - 1);
+    }
+  }
+  ExpectUnionFindMatchesReference(graph);
+}
+
+TEST(WccUnionFind, SelfLoopsAndDuplicateEdges) {
+  EdgeList graph;
+  graph.set_num_vertices(12);
+  for (int copy = 0; copy < 3; ++copy) {
+    graph.AddEdge(5, 5);
+    graph.AddEdge(3, 7);
+    graph.AddEdge(7, 3);
+    graph.AddEdge(9, 1);
+    graph.AddEdge(11, 11);
+  }
+  graph.AddEdge(1, 7);
+  ExpectUnionFindMatchesReference(graph);
+}
+
+TEST(WccUnionFind, TrailingIsolatedVertices) {
+  ErdosRenyiOptions options;
+  options.num_vertices = 1000;
+  options.num_edges = 4000;
+  EdgeList graph = GenerateErdosRenyi(options);
+  graph.set_num_vertices(1500);  // ids 1000..1499 carry no edge
+  ExpectUnionFindMatchesReference(graph);
+}
+
+TEST(WccUnionFind, TwoComponentsJoinedByLastEdge) {
+  // Two paths, each rooted at its own minimum, merged by the final edge
+  // between their largest ids: both roots must end on vertex 0.
+  constexpr VertexId kHalf = 8000;
+  EdgeList graph;
+  graph.set_num_vertices(2 * kHalf);
+  for (VertexId v = 1; v < kHalf; ++v) {
+    graph.AddEdge(v, v - 1);
+    graph.AddEdge(kHalf + v, kHalf + v - 1);
+  }
+  graph.AddEdge(2 * kHalf - 1, kHalf - 1);
+  ExpectUnionFindMatchesReference(graph);
+}
+
+TEST(WccUnionFind, OnePassRegardlessOfDiameter) {
+  // Road proxy: diameter ~ width + height, which label propagation paid
+  // for in rounds; the union-find pass does not.
+  RoadOptions options;
+  options.width = 96;
+  options.height = 96;
+  options.keep_prob = 0.7;  // leaves several components
+  ExpectUnionFindMatchesReference(GenerateRoad(options));
 }
 
 }  // namespace
