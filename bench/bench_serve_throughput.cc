@@ -4,12 +4,15 @@
 // independently; cells are named "serve batch cN" (N = concurrency) for the
 // 24-query batch every cell serves.
 //
-// Beside throughput, every cell records per-query p50 and p95 latency in
-// BENCH_*.json. The bench double-checks correctness while it measures:
-// every cell must reproduce the checksums of the concurrency-1 reference
-// bit-identically. Each level runs 3 sessions, the reps going round the
-// levels; on a host with >= 4 hardware threads the gate requires the median
-// qps at c4 to exceed that at c1.
+// Each rep submits the batch several times to one session, enough copies
+// that a concurrency-1 rep lasts >= kMinRepSeconds (so even c4 on 4 cores
+// runs >= ~10 ms per rep at smoke scales); the cells record the mean wall
+// per batch. Beside throughput, every cell records per-query p50 and p95
+// latency in BENCH_*.json. The bench double-checks correctness while it
+// measures: every cell must reproduce the checksums of the concurrency-1
+// reference bit-identically. Each level runs 3 sessions, the reps going
+// round the levels; on a host with >= 4 hardware threads the gate requires
+// the median qps at c4 to exceed that at c1.
 //
 // The fork-processing pattern ("Cache-Efficient Fork-Processing Patterns",
 // PAPERS.md) is kept as a deterministic cachesim replay: 8 concurrent
@@ -58,6 +61,11 @@ bool TraceIsConsistent(const egraph::serve::ServeResult& result) {
   }
   return true;
 }
+
+// Work per concurrency-1 rep, sized off a cold calibration batch: at 80 ms
+// a c4 rep on 4 cores still lasts >= 10 ms, where its qps reads scaling
+// rather than scheduler noise.
+constexpr double kMinRepSeconds = 0.08;
 
 double Percentile(std::vector<double> samples, double p) {
   if (samples.empty()) {
@@ -131,6 +139,36 @@ int main() {
   }
   handle.Freeze();
 
+  // Serves `copies` submissions of the batch on one session of the given
+  // concurrency; query ids stay unique, so results line up across levels.
+  auto serve_batches = [&](int concurrency, int copies, serve::QuerySessionStats* stats)
+      -> std::vector<serve::ServeResult> {
+    serve::QuerySessionOptions options;
+    options.concurrency = concurrency;
+    options.threads_per_query = 1;
+    options.queue_capacity = queries.size() * static_cast<size_t>(copies);
+    serve::QuerySession session(handle, options);
+    for (int copy = 0; copy < copies; ++copy) {
+      for (serve::ServeQuery query : queries) {
+        query.id += copy * static_cast<int64_t>(queries.size());
+        if (session.Submit(query) != serve::SubmitStatus::kAccepted) {
+          std::fprintf(stderr, "serve bench: submission rejected unexpectedly\n");
+          return {};
+        }
+      }
+    }
+    std::vector<serve::ServeResult> results = session.Drain();
+    *stats = session.stats();
+    return results;
+  };
+
+  // Calibration (also the warm-up): one c1 batch sizes the copies per rep.
+  serve::QuerySessionStats calibration;
+  serve_batches(1, 1, &calibration);
+  const int copies = static_cast<int>(std::clamp(
+      std::ceil(kMinRepSeconds / std::max(calibration.wall_seconds, 1e-6)), 1.0, 64.0));
+  std::printf("each rep serves the 24-query batch %d time(s)\n", copies);
+
   constexpr int kReps = 3;
   std::vector<serve::ServeResult> reference;
   bool checksums_match = true;
@@ -153,21 +191,13 @@ int main() {
     for (size_t level = 0; level < levels.size(); ++level) {
       LevelRuns& run = runs[level];
       const std::string cell_base = "serve batch c" + std::to_string(levels[level]);
-      serve::QuerySessionOptions options;
-      options.concurrency = levels[level];
-      options.threads_per_query = 1;
-      options.queue_capacity = queries.size();
-      serve::QuerySession session(handle, options);
-      for (const serve::ServeQuery& query : queries) {
-        if (session.Submit(query) != serve::SubmitStatus::kAccepted) {
-          std::fprintf(stderr, "serve bench: submission rejected unexpectedly\n");
-          return 1;
-        }
-      }
-      const std::vector<serve::ServeResult> results = session.Drain();
-      if (results.size() != queries.size()) {
+      serve::QuerySessionStats stats;
+      const std::vector<serve::ServeResult> results =
+          serve_batches(levels[level], copies, &stats);
+      const size_t submitted = queries.size() * static_cast<size_t>(copies);
+      if (results.size() != submitted) {
         std::fprintf(stderr, "serve bench: %zu/%zu queries completed\n", results.size(),
-                     queries.size());
+                     submitted);
         return 1;
       }
       for (const serve::ServeResult& result : results) {
@@ -187,8 +217,8 @@ int main() {
       for (const serve::ServeResult& result : results) {
         latencies.push_back(result.seconds);
       }
-      run.wall = session.stats().wall_seconds;
-      run.qps.push_back(session.stats().qps);
+      run.wall = stats.wall_seconds / copies;
+      run.qps.push_back(stats.qps);
       run.p50 = Percentile(latencies, 0.50);
       run.p95 = Percentile(latencies, 0.95);
       RecordResult(cell_base, run.wall, dataset);

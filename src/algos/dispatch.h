@@ -19,8 +19,7 @@
 //       edge to an accumulator with the functor's Update/UpdateAtomic
 //       halves; the dispatcher wraps Update in the striped lock, calls
 //       UpdateAtomic, or calls Update bare under ownership (grid columns).
-//       Pull runs the one per-destination gather body on the plain or
-//       compressed in-lists, in the same order on both.
+//       Pull runs the per-destination gather body on the in-CSR.
 #ifndef SRC_ALGOS_DISPATCH_H_
 #define SRC_ALGOS_DISPATCH_H_
 
@@ -54,29 +53,15 @@ EdgeMapResult EdgeMap(GraphHandle& handle, const RunConfig& config, ExecutionCon
   if (config.layout == Layout::kGrid) {
     return {EdgeMapGrid(handle.grid(), frontier, func, options), config.direction};
   }
-  const bool compressed = config.layout == Layout::kCompressed;
   Direction used = config.direction;
   if (used == Direction::kPushPull) {
-    const uint64_t work = compressed ? frontier.WorkEstimate(handle.compressed_out())
-                                     : frontier.WorkEstimate(handle.out_csr());
-    const EdgeIndex edges =
-        compressed ? handle.compressed_out().num_edges() : handle.out_csr().num_edges();
-    used = static_cast<double>(work) > static_cast<double>(edges) / config.pushpull.threshold_den
-               ? Direction::kPull
-               : Direction::kPush;
+    const double work = static_cast<double>(frontier.WorkEstimate(handle.out_csr()));
+    const double edges = static_cast<double>(handle.out_csr().num_edges());
+    used = work > edges / config.pushpull.threshold_den ? Direction::kPull : Direction::kPush;
   }
-  const bool pull = used == Direction::kPull;
-  switch (config.layout) {
-    case Layout::kCompressed:
-      return {pull ? EdgeMapCsrPull(handle.compressed_in(), frontier, func, options)
-                   : EdgeMapCsrPush(handle.compressed_out(), frontier, func, options),
-              used};
-    case Layout::kAdjacency:
-    default:
-      return {pull ? EdgeMapCsrPull(handle.in_csr(), frontier, func, options)
-                   : EdgeMapCsrPush(handle.out_csr(), frontier, func, options),
-              used};
-  }
+  return {used == Direction::kPull ? EdgeMapCsrPull(handle.in_csr(), frontier, func, options)
+                                   : EdgeMapCsrPush(handle.out_csr(), frontier, func, options),
+          used};
 }
 
 // Runs EdgeMap rounds from `frontier` until it empties, recording each
@@ -131,14 +116,6 @@ void DenseScan(GraphHandle& handle, const RunConfig& config, Acc& acc, Gather&& 
         ScanByDestination(handle.in_csr(), config.balance, gather);
       } else {
         synchronized([&](auto&& body) { ScanBySource(handle.out_csr(), config.balance, body); });
-      }
-      break;
-    case Layout::kCompressed:
-      if (pull) {
-        ScanByDestination(handle.compressed_in(), config.balance, gather);
-      } else {
-        synchronized(
-            [&](auto&& body) { ScanBySource(handle.compressed_out(), config.balance, body); });
       }
       break;
     case Layout::kEdgeArray:

@@ -45,10 +45,6 @@ PagerankResult RunPagerank(GraphHandle& handle, const PagerankOptions& options,
     degree.resize(n);
     const Csr& out = handle.out_csr();
     VertexMap(n, [&](VertexId v) { degree[v] = out.Degree(v); });
-  } else if (handle.has_compressed_out() && config.layout == Layout::kCompressed) {
-    degree.resize(n);
-    const CompressedCsr& out = handle.compressed_out();
-    VertexMap(n, [&](VertexId v) { degree[v] = out.Degree(v); });
   } else {
     degree = OutDegrees(handle.edges());
   }
@@ -80,10 +76,7 @@ PagerankResult RunPagerank(GraphHandle& handle, const PagerankOptions& options,
       next[v] = 0.0f;
     });
 
-    // One gather body serves the adjacency and compressed pulls: each
-    // visits a destination's in-neighbors in the same order (ascending
-    // on the compressed CSR, hence matching a sorted plain CSR), so their
-    // ranks match bit for bit.
+    // Pull gathers each destination's in-neighbors in stored order.
     RankAccumulator acc{next.data(), contrib.data()};
     DenseScan(handle, config, acc, [&](VertexId dst, auto&& in_edges) {
       float sum = 0.0f;

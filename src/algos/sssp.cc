@@ -26,8 +26,6 @@ SsspResult RunSssp(GraphHandle& handle, VertexId source, const RunConfig& config
   obs::TraceSession trace(result.stats.trace, "sssp", config.layout, config.direction,
                           config.sync);
   result.dist[source] = 0.0f;
-  // Every layout relaxes true weights: the compressed CSR decodes them from
-  // its interleaved varint stream and shards slice the weighted CSRs.
   SsspFunctor func{result.dist.data()};
   RunFrontierRounds(handle, config, ctx, Frontier::Single(n, source), func, result.stats, trace);
   result.stats.algorithm_seconds = total.Seconds();

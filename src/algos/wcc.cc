@@ -46,10 +46,9 @@ WccResult RunWcc(GraphHandle& handle, const RunConfig& config, ExecutionContext&
                           config.sync);
   VertexMap(n, [&](VertexId v) { result.label[v] = v; });
 
-  if (config.layout == Layout::kAdjacency || config.layout == Layout::kCompressed) {
+  if (config.layout == Layout::kAdjacency) {
     // Frontier-driven label propagation over the (symmetrized) adjacency
-    // lists — plain or chunk-compressed: only re-labeled vertices propagate
-    // next round.
+    // lists: only re-labeled vertices propagate next round.
     WccFunctor func{result.label.data()};
     RunFrontierRounds(handle, config, ctx, Frontier::All(n), func, result.stats, trace);
   } else {

@@ -4,7 +4,7 @@
 //   edges (each edge links the larger root under the smaller with a CAS),
 //   then one find per vertex. One pass at any diameter, and no
 //   symmetrization: an edge joins its endpoints whichever way it points.
-// - Adjacency and compressed: Ligra-style frontier label propagation (the
+// - Adjacency: Ligra-style frontier label propagation (the
 //   paper's row): every vertex starts with its own id and the minimum floods
 //   each component, one round per unit of diameter. The input must be
 //   symmetrized first (EdgeList::MakeUndirected, paper section 8), doubling

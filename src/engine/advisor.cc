@@ -79,27 +79,26 @@ Recommendation Advise(const AlgorithmTraits& algorithm, const GraphStats& graph,
     rec.rationale = "gather-based: per-vertex solves own state, pull without locks";
   }
 
-  // Memory budget: when the plain adjacency footprint (offsets + neighbor
-  // array, doubled for pull's in-CSR) cannot fit, downgrade to compressed
-  // adjacency — same kernel contract, smaller resident set.
-  if (rec.layout == Layout::kAdjacency && machine.memory_budget_bytes > 0) {
-    uint64_t plain_bytes =
+  // Memory budget: when the out-CSR (offsets + neighbor array) cannot fit
+  // beside the input, run on the edge array instead — it computes on the
+  // resident input and builds nothing. ALS keeps adjacency: it runs only
+  // there.
+  if (rec.layout == Layout::kAdjacency && !algorithm.gather_based &&
+      machine.memory_budget_bytes > 0) {
+    const uint64_t csr_bytes =
         static_cast<uint64_t>(graph.num_vertices + 1) * sizeof(uint64_t) +
         static_cast<uint64_t>(graph.num_edges) * sizeof(VertexId);
-    if (rec.direction == Direction::kPull) {
-      plain_bytes *= 2;
-    }
-    if (plain_bytes > machine.memory_budget_bytes) {
-      rec.layout = Layout::kCompressed;
-      rec.rationale += "; plain CSR exceeds memory budget, compressed adjacency";
+    if (csr_bytes > machine.memory_budget_bytes) {
+      rec.layout = Layout::kEdgeArray;
+      rec.direction = Direction::kPush;
+      rec.sync = Sync::kAtomics;
+      rec.rationale += "; CSR exceeds memory budget, edge array builds nothing";
     }
   }
 
   // Lock removal is always beneficial when the layout permits (section 9,
-  // step 3): pull on adjacency (plain or compressed) and any direction on
-  // grid run lock-free.
-  if ((rec.layout == Layout::kAdjacency || rec.layout == Layout::kCompressed) &&
-      rec.direction == Direction::kPull) {
+  // step 3): pull on adjacency and any direction on grid run lock-free.
+  if (rec.layout == Layout::kAdjacency && rec.direction == Direction::kPull) {
     rec.sync = Sync::kLockFree;
   }
   if (rec.layout == Layout::kGrid) {

@@ -32,9 +32,8 @@ AlgorithmTraits TraitsAls();
 struct MachineTraits {
   int numa_nodes = 1;
   // Memory available for graph layouts, in bytes; 0 means unconstrained.
-  // When an adjacency recommendation's plain CSR footprint would not fit,
-  // the advisor downgrades it to the compressed layout, trading decode time
-  // for memory (the paper's pre-processing-vs-memory currency).
+  // When an adjacency recommendation's CSR would not fit, the advisor falls
+  // back to the edge array, which builds nothing beyond the input.
   uint64_t memory_budget_bytes = 0;
   // Worker threads the run will use; 0 means unknown. No recommendation
   // depends on it: no layout measured faster at high worker counts on the
@@ -59,8 +58,8 @@ struct Recommendation {
 //      all-active algorithms,
 //   3. lock removal whenever the layout/direction permits,
 //   4. never push-pull on directed graphs (its pre-processing never pays),
-//   5. under a memory budget the plain CSR cannot fit, compressed adjacency
-//      replaces it (chunked decode keeps traversal parallel).
+//   5. under a memory budget the CSR cannot fit, the edge array replaces
+//      adjacency (except for ALS, which runs only on adjacency).
 Recommendation Advise(const AlgorithmTraits& algorithm, const GraphStats& graph,
                       const MachineTraits& machine);
 

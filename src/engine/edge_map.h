@@ -6,16 +6,14 @@
 // push-pull decision once, dispatches to a layout kernel and reports the
 // direction it used. The kernels it dispatches to:
 //
-//   kernel                input                        direction
-//   EdgeMapCsrPush        out-lists (any NeighborRange)  push, sparse output
-//   EdgeMapCsrPull        in-lists (any NeighborRange)   pull, dense output
-//   EdgeMapEdgeArray      edge list                      full edge scan
-//   EdgeMapGrid           grid                           full cell scan
+//   kernel                input                 direction
+//   EdgeMapCsrPush        out-CSR               push, sparse output
+//   EdgeMapCsrPull        in-CSR                pull, dense output
+//   EdgeMapEdgeArray      edge list             full edge scan
+//   EdgeMapGrid           grid                  full cell scan
 //
-// The push body (PushActive) and the pull body (PullChunk) are each
-// written once against the NeighborRange concept (neighbor_range.h), which
-// the plain CSR (through its weight-specialized view) and the compressed CSR
-// both model.
+// The push body (PushActive) and the pull body (PullChunk) walk the lists
+// through the weight-specialized CsrNeighbors view (neighbor_range.h).
 //
 // The functor contract is Ligra-style:
 //
@@ -41,8 +39,8 @@
 // degree prefix sum, so a power-law hub cannot serialize its chunk). Push
 // even splits a single hub's adjacency list across chunks; pull stays
 // vertex-aligned (one writer per destination) but weights boundaries by
-// the range's cost prefix. Chunks dispatch at grain 1 on the work-stealing
-// pool, so residual imbalance is stolen around.
+// in-degree. Chunks dispatch at grain 1 on the work-stealing pool, so
+// residual imbalance is stolen around.
 #ifndef SRC_ENGINE_EDGE_MAP_H_
 #define SRC_ENGINE_EDGE_MAP_H_
 
@@ -57,6 +55,7 @@
 #include "src/engine/neighbor_range.h"
 #include "src/engine/options.h"
 #include "src/graph/edge_list.h"
+#include "src/layout/csr.h"
 #include "src/layout/grid.h"
 #include "src/obs/metrics.h"
 #include "src/obs/timeline.h"
@@ -178,7 +177,7 @@ void WithLocksTag(const EdgeMapOptions& options, Fn&& fn) {
 // sub-range, not always the full list: the edge-balanced partitioner splits
 // hub adjacency lists across chunks, and the shared round bitmap keeps the
 // output deduplicated regardless of which chunk wins a destination.
-template <bool kUseLocks, NeighborRange Range, typename F>
+template <bool kUseLocks, typename Range, typename F>
 inline void PushSlice(const Range& out, VertexId src, uint64_t j_lo, uint64_t j_hi, F& func,
                       StripedLocks* locks, Bitmap& next, std::vector<VertexId>& buffer,
                       int64_t& relaxed) {
@@ -205,7 +204,7 @@ inline void PushSlice(const Range& out, VertexId src, uint64_t j_lo, uint64_t j_
 // Core of the push kernel: relaxes the out-edges of `active` under the
 // selected balance mode, marking discoveries in `next` and appending them to
 // per-worker `buffers`.
-template <NeighborRange Range, typename F>
+template <typename Range, typename F>
 void PushActive(const Range& out, std::span<const VertexId> active, F& func,
                 const EdgeMapOptions& options, Bitmap& next,
                 std::vector<std::vector<VertexId>>& buffers) {
@@ -288,7 +287,7 @@ void PushActive(const Range& out, std::span<const VertexId> active, F& func,
 // consecutive hits the common case). Each destination has one writer, so
 // plain Update suffices. Records the worker's discoveries and publishes the
 // edge counters.
-template <NeighborRange Range, typename F>
+template <typename Range, typename F>
 void PullChunk(const Range& in, const Bitmap& active_bits, F& func, int64_t lo, int64_t hi,
                int worker, DenseOutput& output) {
   const uint64_t span_start = obs::TimelineNow();
@@ -336,19 +335,17 @@ void PullChunk(const Range& in, const Bitmap& active_bits, F& func, int64_t lo, 
 
 // --- CSR push (paper: enables working on the active subset) ----------------
 //
-// `out` is a Csr or a CompressedCsr. Sync::kAtomics uses
-// Functor::UpdateAtomic; Sync::kLocks wraps plain Update in a striped
-// spinlock keyed by dst (`options.locks` must outlive the call). Returns a
-// sparse next frontier (deduplicated via a round bitmap).
+// Sync::kAtomics uses Functor::UpdateAtomic; Sync::kLocks wraps plain
+// Update in a striped spinlock keyed by dst (`options.locks` must outlive
+// the call). Returns a sparse next frontier (deduplicated via a round
+// bitmap).
 //
 // Balance::kEdge partitions the frontier's concatenated adjacency *edge
 // positions* [0, sum of active degrees): an exclusive prefix sum over active
 // degrees maps a position range to (vertex, neighbor sub-range) pairs, so a
-// mega-hub's list is split across as many chunks as its degree warrants. On
-// the compressed layout a range landing mid-hub decodes at most one partial
-// chunk of skipped prefix.
-template <typename Graph, typename F>
-Frontier EdgeMapCsrPush(const Graph& out, Frontier& frontier, F& func,
+// mega-hub's list is split across as many chunks as its degree warrants.
+template <typename F>
+Frontier EdgeMapCsrPush(const Csr& out, Frontier& frontier, F& func,
                         const EdgeMapOptions& options) {
   frontier.EnsureSparse();
   const auto& active = frontier.Vertices();
@@ -365,12 +362,11 @@ Frontier EdgeMapCsrPush(const Graph& out, Frontier& frontier, F& func,
 
 // --- CSR pull (lock-free: each dst is written by one thread) ---------------
 //
-// `in` is a Csr or a CompressedCsr. Balance::kEdge keeps chunks
-// vertex-aligned (each destination has exactly one writer) but picks the
-// boundaries from the range's cost prefix — cost(v) = in-degree(v) + 1 on
-// the plain CSR, encoded-bytes(v) + 1 on the compressed one.
-template <typename Graph, typename F>
-Frontier EdgeMapCsrPull(const Graph& in, Frontier& frontier, F& func,
+// Balance::kEdge keeps chunks vertex-aligned (each destination has exactly
+// one writer) but picks the boundaries from the offsets, with
+// cost(v) = in-degree(v) + 1.
+template <typename F>
+Frontier EdgeMapCsrPull(const Csr& in, Frontier& frontier, F& func,
                         const EdgeMapOptions& options) {
   const VertexId n = in.num_vertices();
   frontier.EnsureDense();

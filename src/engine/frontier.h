@@ -14,8 +14,6 @@
 
 namespace egraph {
 
-class CompressedCsr;
-
 class Frontier {
  public:
   Frontier() = default;
@@ -51,12 +49,11 @@ class Frontier {
 
   // |F| + sum of out-degrees of F: the quantity Ligra's push-pull heuristic
   // compares against |E| / threshold. The active set never changes after
-  // construction, so the sum is computed once per layout and cached —
+  // construction, so the sum is computed once per CSR and cached —
   // push-pull and the edge-balanced partitioner may both ask within one
-  // round. The cache is keyed by the layout object's address, so asking with
-  // a different layout (plain vs compressed) recomputes.
+  // round. The cache is keyed by the CSR's address, so asking with a
+  // different CSR recomputes.
   uint64_t WorkEstimate(const Csr& out);
-  uint64_t WorkEstimate(const CompressedCsr& out);
 
  private:
   VertexId num_vertices_ = 0;
@@ -65,7 +62,7 @@ class Frontier {
   bool has_sparse_ = false;
   std::vector<VertexId> sparse_;
   Bitmap dense_;
-  const void* work_estimate_key_ = nullptr;  // cache key for WorkEstimate
+  const Csr* work_estimate_key_ = nullptr;  // cache key for WorkEstimate
   uint64_t work_estimate_ = 0;
 };
 

@@ -122,46 +122,6 @@ void GraphHandle::Prepare(const PrepareConfig& config) {
       });
       break;
     }
-    case Layout::kCompressed: {
-      // Same direction/symmetry semantics as kAdjacency: push needs the out
-      // stream, pull needs in, symmetric input makes the in stream alias the
-      // out stream. The encode builds a temporary plain CSR and discards it
-      // — it never reads out_csr_/in_csr_, which a concurrent
-      // Prepare(kAdjacency) may be mid-construction on (the per-layout
-      // call_once flags do not order cross-layout accesses). Both the build
-      // and encode cost land in preprocess_seconds().
-      if (config.symmetric_input && config.need_in) {
-        in_aliases_out_.store(true, std::memory_order_release);
-      }
-      auto encode = [&](EdgeDirection direction) -> CompressedCsr {
-        BuildStats stats;
-        const Csr temporary =
-            BuildCsr(graph_, direction, config.method, &stats, config.radix_digit_bits);
-        double seconds = 0.0;
-        CompressedCsr compressed = CompressedCsr::FromCsr(temporary, &seconds);
-        AddPreprocessSeconds(stats.seconds + seconds);
-        return compressed;
-      };
-      const bool build_out =
-          config.need_out || (config.symmetric_input && config.need_in);
-      if (build_out) {
-        std::call_once(once_->compressed_out, [&] {
-          if (compressed_out_.has_value()) {
-            return;
-          }
-          compressed_out_ = encode(EdgeDirection::kOut);
-        });
-      }
-      if (config.need_in && !config.symmetric_input) {
-        std::call_once(once_->compressed_in, [&] {
-          if (compressed_in_.has_value()) {
-            return;
-          }
-          compressed_in_ = encode(EdgeDirection::kIn);
-        });
-      }
-      break;
-    }
   }
 }
 
@@ -172,18 +132,6 @@ void GraphHandle::InstallCsr(EdgeDirection direction, Csr csr, double build_seco
     out_csr_ = std::move(csr);
   } else {
     in_csr_ = std::move(csr);
-  }
-  AddPreprocessSeconds(build_seconds);
-}
-
-void GraphHandle::InstallCompressed(EdgeDirection direction, CompressedCsr compressed,
-                                    double build_seconds) {
-  std::shared_lock<std::shared_mutex> build_guard(build_mutex_);
-  CheckBuildPhase("InstallCompressed");
-  if (direction == EdgeDirection::kOut) {
-    compressed_out_ = std::move(compressed);
-  } else {
-    compressed_in_ = std::move(compressed);
   }
   AddPreprocessSeconds(build_seconds);
 }
@@ -200,8 +148,6 @@ void GraphHandle::DropLayouts() {
   out_csr_.reset();
   in_csr_.reset();
   grid_.reset();
-  compressed_out_.reset();
-  compressed_in_.reset();
   // Re-arm the call_once guards so the next Prepare builds again.
   once_ = std::make_unique<LayoutOnce>();
 }

@@ -23,7 +23,6 @@
 
 #include "src/engine/options.h"
 #include "src/graph/edge_list.h"
-#include "src/layout/compressed_csr.h"
 #include "src/layout/csr.h"
 #include "src/layout/csr_builder.h"
 #include "src/layout/grid.h"
@@ -84,34 +83,18 @@ class GraphHandle {
   // Build phase only.
   void InstallCsr(EdgeDirection direction, Csr csr, double build_seconds);
 
-  // Installs a compressed CSR built or loaded elsewhere (e.g. read from the
-  // on-disk chunked format by src/io/compressed_io.h) so Prepare() will not
-  // re-encode it. Build phase only.
-  void InstallCompressed(EdgeDirection direction, CompressedCsr compressed,
-                         double build_seconds);
-
   bool has_out_csr() const { return out_csr_.has_value(); }
   bool has_in_csr() const {
     return in_csr_.has_value() ||
            (in_aliases_out_.load(std::memory_order_acquire) && has_out_csr());
   }
   bool has_grid() const { return grid_.has_value(); }
-  bool has_compressed_out() const { return compressed_out_.has_value(); }
-  bool has_compressed_in() const {
-    return compressed_in_.has_value() ||
-           (in_aliases_out_.load(std::memory_order_acquire) && has_compressed_out());
-  }
 
   const Csr& out_csr() const { return *out_csr_; }
   const Csr& in_csr() const {
     return in_aliases_out_.load(std::memory_order_acquire) ? *out_csr_ : *in_csr_;
   }
   const Grid& grid() const { return *grid_; }
-  const CompressedCsr& compressed_out() const { return *compressed_out_; }
-  const CompressedCsr& compressed_in() const {
-    return in_aliases_out_.load(std::memory_order_acquire) ? *compressed_out_
-                                                           : *compressed_in_;
-  }
 
   // Cumulative pre-processing time across all Prepare calls.
   double preprocess_seconds() const;
@@ -148,8 +131,6 @@ class GraphHandle {
     std::once_flag out;
     std::once_flag in;
     std::once_flag grid;
-    std::once_flag compressed_out;
-    std::once_flag compressed_in;
   };
 
   void CheckBuildPhase(const char* operation) const;
@@ -169,8 +150,6 @@ class GraphHandle {
   std::optional<Csr> out_csr_;
   std::optional<Csr> in_csr_;
   std::optional<Grid> grid_;
-  std::optional<CompressedCsr> compressed_out_;
-  std::optional<CompressedCsr> compressed_in_;
   mutable std::mutex stats_mutex_;  // guards preprocess_seconds_
   double preprocess_seconds_ = 0.0;
   StripedLocks locks_{1 << 14};

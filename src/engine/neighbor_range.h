@@ -1,6 +1,5 @@
-// Neighbor ranges: the one graph interface the EdgeMap push and pull kernels
-// and the dense scans are written against, so each kernel body exists once
-// for the plain and the compressed CSR. A NeighborRange exposes
+// CsrNeighbors: the view of a CSR the EdgeMap push and pull kernels and the
+// dense scans walk. It exposes
 //
 //   num_vertices()                          vertex count,
 //   Degree(v)                               entries in v's list,
@@ -12,39 +11,25 @@
 //                                           false (pull's early exit); false
 //                                           iff fn stopped the walk,
 //   CostPrefix(v)                           exclusive prefix of per-vertex
-//                                           traversal cost, CostPrefix(n) the
-//                                           total: the Balance::kEdge pull
-//                                           partitioner's input.
+//                                           traversal cost (edges),
+//                                           CostPrefix(n) the total: the
+//                                           Balance::kEdge pull partitioner's
+//                                           input.
 //
-// weight is 1.0f on unweighted graphs. CompressedCsr models the concept
-// itself (cost = encoded bytes). A plain Csr is seen through
-// CsrNeighbors<kWeighted> (cost = edges), which fixes the weighted branch at
-// compile time; WithNeighbors() picks that instantiation once per kernel
-// call, so no per-edge weight branch is paid.
+// weight is 1.0f on unweighted graphs. CsrNeighbors<kWeighted> fixes the
+// weighted branch at compile time; WithNeighbors() picks that instantiation
+// once per kernel call, so no per-edge weight branch is paid.
 #ifndef SRC_ENGINE_NEIGHBOR_RANGE_H_
 #define SRC_ENGINE_NEIGHBOR_RANGE_H_
 
-#include <concepts>
 #include <cstdint>
 #include <vector>
 
 #include "src/graph/types.h"
-#include "src/layout/compressed_csr.h"
 #include "src/layout/csr.h"
 #include "src/util/parallel.h"
 
 namespace egraph {
-
-template <typename R>
-concept NeighborRange = requires(const R& range, VertexId v, uint64_t j,
-                                 void (*visit)(VertexId, float),
-                                 bool (*visit_while)(VertexId, float)) {
-  { range.num_vertices() } -> std::convertible_to<VertexId>;
-  { range.Degree(v) } -> std::convertible_to<uint64_t>;
-  range.ForEachNeighborSlice(v, j, j, visit);
-  { range.ForEachNeighborWhile(v, visit_while) } -> std::same_as<bool>;
-  { range.CostPrefix(v) } -> std::convertible_to<uint64_t>;
-};
 
 template <bool kWeighted>
 class CsrNeighbors {
@@ -92,12 +77,7 @@ class CsrNeighbors {
   const float* weights_;
 };
 
-static_assert(NeighborRange<CsrNeighbors<false>>);
-static_assert(NeighborRange<CsrNeighbors<true>>);
-static_assert(NeighborRange<CompressedCsr>);
-
-// Invokes fn(range) with the NeighborRange view of a layout: the
-// weight-specialized view of a plain CSR, the compressed CSR itself.
+// Invokes fn(range) with the weight-specialized view of `csr`.
 template <typename Fn>
 decltype(auto) WithNeighbors(const Csr& csr, Fn&& fn) {
   if (csr.has_weights()) {
@@ -106,15 +86,10 @@ decltype(auto) WithNeighbors(const Csr& csr, Fn&& fn) {
   return fn(CsrNeighbors<false>(csr));
 }
 
-template <typename Fn>
-decltype(auto) WithNeighbors(const CompressedCsr& csr, Fn&& fn) {
-  return fn(csr);
-}
-
 // Vertex-aligned chunk boundaries of roughly equal cost, with
 // cost(v) = CostPrefix step + 1: the +1 charges the per-vertex probe so
 // long runs of empty lists still count as work.
-template <NeighborRange Range>
+template <typename Range>
 std::vector<int64_t> CostBalancedBounds(const Range& range, int64_t min_chunk_cost) {
   const int64_t n = static_cast<int64_t>(range.num_vertices());
   const uint64_t total =

@@ -10,8 +10,6 @@ const char* LayoutName(Layout layout) {
       return "adjacency";
     case Layout::kGrid:
       return "grid";
-    case Layout::kCompressed:
-      return "compressed";
   }
   return "?";
 }

@@ -12,10 +12,9 @@ namespace egraph {
 // Data layout == iteration model (paper section 4: the layout determines how
 // the graph is traversed).
 enum class Layout {
-  kEdgeArray,   // edge-centric full scans; zero pre-processing
-  kAdjacency,   // vertex-centric; CSR built during pre-processing
-  kGrid,        // grid-cell-centric; cache-blocked edge array
-  kCompressed,  // vertex-centric over chunked delta-compressed CSR
+  kEdgeArray,  // edge-centric full scans; zero pre-processing
+  kAdjacency,  // vertex-centric; CSR built during pre-processing
+  kGrid,       // grid-cell-centric; cache-blocked edge array
 };
 
 // Information flow (paper section 6).

@@ -1,8 +1,8 @@
 // Whole-graph scan primitives for algorithms where every vertex is active in
 // every round (Pagerank, SpMV): no frontier bookkeeping, just the layout's
 // native iteration order. Each maps to one of the paper's configurations.
-// The CSR scans are written once against the NeighborRange concept
-// (neighbor_range.h), so they serve the plain and the compressed CSR alike.
+// The CSR scans walk the lists through CsrNeighbors (neighbor_range.h), so
+// the weighted branch is fixed once per scan, not paid per edge.
 //
 // All scans iterate in chunks so the edges_scanned counter is bumped once per
 // chunk, not per edge — the metrics cost stays off the inner loop.
@@ -15,13 +15,11 @@
 #define SRC_ENGINE_SCAN_H_
 
 #include <algorithm>
-#include <type_traits>
 #include <vector>
 
 #include "src/engine/neighbor_range.h"
 #include "src/engine/options.h"
 #include "src/graph/edge_list.h"
-#include "src/layout/compressed_csr.h"
 #include "src/layout/csr.h"
 #include "src/layout/grid.h"
 #include "src/obs/metrics.h"
@@ -33,39 +31,6 @@ namespace egraph {
 namespace scan_internal {
 
 inline constexpr int64_t kScanMinChunkCost = 2048;
-
-// Compressed out-CSR scan balanced over *decode chunks*, not vertices, with
-// boundaries from the per-chunk byte prefix: a hub's fixed-size chunks
-// spread across workers for free, no per-vertex prefix sum needed. Each
-// worker binary-searches its first chunk's owner once, then walks forward.
-template <typename Body>
-void ScanCompressedChunks(const CompressedCsr& out, Body& body, obs::Counter& scanned) {
-  const int64_t num_chunks = out.num_chunks();
-  const std::vector<int64_t> bounds = BalancedChunkBoundaries(
-      num_chunks,
-      BalancedChunkCount(static_cast<uint64_t>(out.stream_bytes().size()) +
-                             static_cast<uint64_t>(num_chunks),
-                         kScanMinChunkCost),
-      [&out](int64_t c) { return out.ChunkByteOffset(c) + static_cast<uint64_t>(c); });
-  ParallelForBalancedChunks(bounds, [&](int64_t lo, int64_t hi, int /*worker*/) {
-    if (lo >= hi) {
-      return;
-    }
-    int64_t local = 0;
-    VertexId src = out.OwnerOf(lo);
-    uint32_t k = static_cast<uint32_t>(lo - out.ChunkBegin(src));
-    for (int64_t c = lo; c < hi; ++c) {
-      while (k == out.NumChunksOf(src)) {
-        ++src;
-        k = 0;
-      }
-      local += static_cast<int64_t>(out.ChunkSizeOf(src, k));
-      out.DecodeChunk(src, k, [&body, src](VertexId dst, float w) { body(src, dst, w); });
-      ++k;
-    }
-    scanned.Add(local);
-  });
-}
 
 }  // namespace scan_internal
 
@@ -87,21 +52,14 @@ void ScanEdgeArray(const EdgeList& graph, Body&& body) {
                     });
 }
 
-// Vertex-centric push scan over an out-CSR (plain or compressed):
-// body(src, dst, weight) for every edge; source metadata naturally cached
-// per vertex. Caller synchronizes dst writes. Balance::kEdge chunks are
-// vertex-aligned on the plain CSR and decode-chunk-aligned on the
-// compressed one (ScanCompressedChunks).
-template <typename Graph, typename Body>
-void ScanBySource(const Graph& out, Balance balance, Body&& body) {
+// Vertex-centric push scan over an out-CSR: body(src, dst, weight) for
+// every edge; source metadata naturally cached per vertex. Caller
+// synchronizes dst writes. Balance::kEdge chunks are vertex-aligned with
+// boundaries from the offsets.
+template <typename Body>
+void ScanBySource(const Csr& out, Balance balance, Body&& body) {
   obs::TimelineSpan timeline_span("engine", "scan.src", static_cast<int64_t>(out.num_edges()));
   obs::Counter& scanned = obs::EngineCounters::Get().edges_scanned;
-  if constexpr (std::is_same_v<Graph, CompressedCsr>) {
-    if (balance == Balance::kEdge) {
-      scan_internal::ScanCompressedChunks(out, body, scanned);
-      return;
-    }
-  }
   WithNeighbors(out, [&](const auto& range) {
     auto chunk = [&](int64_t lo, int64_t hi, int /*worker*/) {
       int64_t local = 0;
@@ -123,14 +81,12 @@ void ScanBySource(const Graph& out, Balance balance, Body&& body) {
   });
 }
 
-// Vertex-centric pull scan over an in-CSR (plain or compressed):
-// body(dst, in_edges) once per destination, in_edges(fn) calling
-// fn(src, weight) per in-neighbor in stored order (ascending on the
-// compressed CSR). dst is written by exactly one thread (lock-free).
-// Balance::kEdge stays vertex-aligned with boundaries from the range's cost
-// prefix.
-template <typename Graph, typename Body>
-void ScanByDestination(const Graph& in, Balance balance, Body&& body) {
+// Vertex-centric pull scan over an in-CSR: body(dst, in_edges) once per
+// destination, in_edges(fn) calling fn(src, weight) per in-neighbor in
+// stored order. dst is written by exactly one thread (lock-free).
+// Balance::kEdge stays vertex-aligned with boundaries from the offsets.
+template <typename Body>
+void ScanByDestination(const Csr& in, Balance balance, Body&& body) {
   obs::TimelineSpan timeline_span("engine", "scan.dst", static_cast<int64_t>(in.num_edges()));
   obs::Counter& scanned = obs::EngineCounters::Get().edges_scanned;
   WithNeighbors(in, [&](const auto& range) {

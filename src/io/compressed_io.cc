@@ -9,6 +9,7 @@
 
 #include "src/obs/metrics.h"
 #include "src/util/parallel.h"
+#include "src/util/uninit_vector.h"
 
 namespace egraph {
 namespace {
@@ -66,7 +67,7 @@ uint64_t TableBytesOrThrow(const CompressedFileHeader& header, const std::string
 
 void ValidateCompressedFileSize(const CompressedFileHeader& header, uint64_t file_bytes,
                                 const std::string& path) {
-  if (header.magic != kCompressedFileMagic) {
+  if (header.magic != kEgcmprMagic) {
     throw std::runtime_error("bad magic in " + path);
   }
   if (header.chunk_edges == 0 && header.num_edges != 0) {
@@ -100,47 +101,9 @@ void WriteCompressedCsr(const std::string& path, const CompressedCsr& compressed
                compressed.stream_bytes().size(), path);
 }
 
-CompressedFileHeader ReadCompressedFileHeader(const std::string& path) {
-  UniqueFile file = OpenOrThrow(path, "rb");
-  CompressedFileHeader header;
-  ReadOrThrow(file.get(), &header, sizeof(header), path);
-  if (header.magic != kCompressedFileMagic) {
-    throw std::runtime_error("bad magic in " + path);
-  }
-  return header;
-}
-
-CompressedCsr ReadCompressedCsr(const std::string& path) {
-  UniqueFile file = OpenOrThrow(path, "rb");
-  CompressedFileHeader header;
-  ReadOrThrow(file.get(), &header, sizeof(header), path);
-  if (std::fseek(file.get(), 0, SEEK_END) != 0) {
-    throw std::runtime_error("seek failed on " + path);
-  }
-  const uint64_t file_bytes = static_cast<uint64_t>(std::ftell(file.get()));
-  ValidateCompressedFileSize(header, file_bytes, path);
-  SeekOrThrow(file.get(), sizeof(CompressedFileHeader), path);
-
-  const size_t n = header.num_vertices;
-  const size_t c = static_cast<size_t>(header.num_chunks);
-  std::vector<uint32_t> degrees(n);
-  std::vector<uint32_t> chunk_begin(n + 1);
-  std::vector<uint64_t> chunk_bytes(c + 1);
-  std::vector<uint8_t> stream(header.stream_bytes);
-  ReadOrThrow(file.get(), degrees.data(), degrees.size() * sizeof(uint32_t), path);
-  ReadOrThrow(file.get(), chunk_begin.data(), chunk_begin.size() * sizeof(uint32_t), path);
-  ReadOrThrow(file.get(), chunk_bytes.data(), chunk_bytes.size() * sizeof(uint64_t), path);
-  ReadOrThrow(file.get(), stream.data(), stream.size(), path);
-
-  CompressedCsr compressed;
-  compressed.Init(header.num_vertices, header.num_edges, header.has_weights(),
-                  header.chunk_edges, std::move(degrees), std::move(chunk_begin),
-                  std::move(chunk_bytes), std::move(stream));
-  std::string error;
-  if (!compressed.Validate(&error)) {
-    throw std::runtime_error("corrupt compressed graph in " + path + ": " + error);
-  }
-  return compressed;
+Csr ReadCompressedCsr(const std::string& path) {
+  SelectiveCompressedLoader loader(path);
+  return loader.LoadRange(0, loader.num_vertices()).csr;
 }
 
 SelectiveCompressedLoader::SelectiveCompressedLoader(const std::string& path)
@@ -204,20 +167,16 @@ DecodedRange SelectiveCompressedLoader::LoadRange(VertexId v_lo, VertexId v_hi) 
   if (v_lo > v_hi || v_hi > header_.num_vertices) {
     throw std::runtime_error("vertex range out of bounds for " + path_);
   }
-  DecodedRange range;
-  range.v_lo = v_lo;
-  range.v_hi = v_hi;
-  const size_t span_vertices = v_hi - v_lo;
-  range.offsets.resize(span_vertices + 1);
-  range.offsets[0] = 0;
-  for (size_t i = 0; i < span_vertices; ++i) {
-    range.offsets[i + 1] = range.offsets[i] + degrees_[static_cast<size_t>(v_lo) + i];
-  }
-  const uint64_t range_edges = range.offsets[span_vertices];
-  range.neighbors.resize(range_edges);
-  if (header_.has_weights()) {
-    range.weights.resize(range_edges);
-  }
+  const int64_t span_vertices = static_cast<int64_t>(v_hi - v_lo);
+  UninitVector<EdgeIndex> offsets(static_cast<size_t>(span_vertices) + 1);
+  ParallelFor(0, span_vertices, [&](int64_t i) {
+    offsets[static_cast<size_t>(i)] = degrees_[v_lo + static_cast<size_t>(i)];
+  });
+  offsets[static_cast<size_t>(span_vertices)] = 0;
+  const EdgeIndex range_edges = ParallelExclusiveScan(offsets);
+  const bool weighted = header_.has_weights();
+  UninitVector<VertexId> neighbors(range_edges);
+  UninitVector<float> weights(weighted ? range_edges : 0);
 
   const uint32_t chunk_lo = chunk_begin_[v_lo];
   const uint32_t chunk_hi = chunk_begin_[v_hi];
@@ -225,42 +184,37 @@ DecodedRange SelectiveCompressedLoader::LoadRange(VertexId v_lo, VertexId v_hi) 
   const uint64_t byte_hi = chunk_bytes_[chunk_hi];
   const int64_t num_chunks = static_cast<int64_t>(chunk_hi) - chunk_lo;
 
-  // Owner and output slot per chunk in the range, derived by one walk over
-  // the vertex span — what lets every chunk decode independently below.
+  // Owner per chunk in the range: what lets every chunk find its output
+  // slot and entry count, and so decode independently below.
   std::vector<VertexId> chunk_owner(static_cast<size_t>(num_chunks));
-  std::vector<uint64_t> chunk_slot(static_cast<size_t>(num_chunks));
-  std::vector<uint32_t> chunk_count(static_cast<size_t>(num_chunks));
-  for (size_t i = 0; i < span_vertices; ++i) {
+  ParallelFor(0, span_vertices, [&](int64_t i) {
     const VertexId v = v_lo + static_cast<VertexId>(i);
-    const uint32_t first = chunk_begin_[v] - chunk_lo;
-    const uint32_t chunks = chunk_begin_[static_cast<size_t>(v) + 1] - chunk_begin_[v];
-    for (uint32_t k = 0; k < chunks; ++k) {
-      const uint64_t consumed = static_cast<uint64_t>(k) * header_.chunk_edges;
-      chunk_owner[first + k] = v;
-      chunk_slot[first + k] = range.offsets[i] + consumed;
-      chunk_count[first + k] = static_cast<uint32_t>(
-          std::min<uint64_t>(header_.chunk_edges, degrees_[v] - consumed));
+    for (uint32_t c = chunk_begin_[v]; c < chunk_begin_[static_cast<size_t>(v) + 1]; ++c) {
+      chunk_owner[c - chunk_lo] = v;
     }
-  }
+  });
 
   // Read exactly the covering byte span — the rest of the stream is never
-  // touched. This is the number the ablation gate checks against the full
-  // stream size.
-  std::vector<uint8_t> bytes(byte_hi - byte_lo);
+  // touched.
+  UninitVector<uint8_t> bytes(byte_hi - byte_lo);
   SeekOrThrow(file_, stream_start_ + byte_lo, path_);
   ReadOrThrow(file_, bytes.data(), bytes.size(), path_);
 
+  // Checked decode: every varint in bounds, every neighbor < num_vertices,
+  // every chunk consuming exactly its byte span. The tables were checked at
+  // open, so the chunks of a clean stream write every output slot once.
   std::vector<uint8_t> chunk_ok(static_cast<size_t>(num_chunks), 1);
-  const bool weighted = header_.has_weights();
+  const uint32_t chunk_edges = header_.chunk_edges;
   ParallelFor(0, num_chunks, [&](int64_t i) {
     const size_t c = static_cast<size_t>(chunk_lo) + static_cast<size_t>(i);
+    const VertexId owner = chunk_owner[static_cast<size_t>(i)];
+    const uint64_t consumed = static_cast<uint64_t>(c - chunk_begin_[owner]) * chunk_edges;
+    const uint64_t size = std::min<uint64_t>(chunk_edges, degrees_[owner] - consumed);
+    const uint64_t out_base = offsets[owner - v_lo] + consumed;
     const uint8_t* cursor = bytes.data() + (chunk_bytes_[c] - byte_lo);
     const uint8_t* end = bytes.data() + (chunk_bytes_[c + 1] - byte_lo);
-    const uint64_t out_base = chunk_slot[static_cast<size_t>(i)];
-    const uint32_t size = chunk_count[static_cast<size_t>(i)];
-    const VertexId owner = chunk_owner[static_cast<size_t>(i)];
     VertexId neighbor = 0;
-    for (uint32_t j = 0; j < size; ++j) {
+    for (uint64_t j = 0; j < size; ++j) {
       uint64_t raw = 0;
       if (!CompressedCsr::DecodeVarintChecked(cursor, end, &raw)) {
         chunk_ok[static_cast<size_t>(i)] = 0;
@@ -279,7 +233,7 @@ DecodedRange SelectiveCompressedLoader::LoadRange(VertexId v_lo, VertexId v_hi) 
         return;
       }
       neighbor = static_cast<VertexId>(candidate);
-      range.neighbors[static_cast<size_t>(out_base + j)] = neighbor;
+      neighbors[out_base + j] = neighbor;
       if (weighted) {
         uint64_t weight_bits = 0;
         if (!CompressedCsr::DecodeVarintChecked(cursor, end, &weight_bits) ||
@@ -287,8 +241,7 @@ DecodedRange SelectiveCompressedLoader::LoadRange(VertexId v_lo, VertexId v_hi) 
           chunk_ok[static_cast<size_t>(i)] = 0;
           return;
         }
-        range.weights[static_cast<size_t>(out_base + j)] =
-            std::bit_cast<float>(static_cast<uint32_t>(weight_bits));
+        weights[out_base + j] = std::bit_cast<float>(static_cast<uint32_t>(weight_bits));
       }
     }
     if (cursor != end) {
@@ -311,6 +264,12 @@ DecodedRange SelectiveCompressedLoader::LoadRange(VertexId v_lo, VertexId v_hi) 
   registry.GetCounter("io.compressed.bytes_skipped")
       .Add(static_cast<int64_t>(header_.stream_bytes - bytes.size()));
   registry.GetCounter("io.compressed.chunks_decoded").Add(num_chunks);
+
+  DecodedRange range;
+  range.v_lo = v_lo;
+  range.v_hi = v_hi;
+  range.csr.Init(static_cast<VertexId>(span_vertices), std::move(offsets),
+                 std::move(neighbors), std::move(weights));
   return range;
 }
 

@@ -1,5 +1,7 @@
-// Persistence for the chunked delta-compressed CSR, plus a ParaGrapher-style
-// selective loader that decompresses only requested vertex ranges.
+// EGCMPR01: the on-disk format of the chunked delta-compressed CSR, plus a
+// ParaGrapher-style selective loader that decompresses only requested
+// vertex ranges. The format is storage only: every load decodes into a plain
+// CSR, the layout the kernels run on.
 //
 // Binary layout (little endian), magic "EGCMPR01":
 //   uint64 magic
@@ -24,19 +26,19 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/graph/types.h"
 #include "src/layout/compressed_csr.h"
+#include "src/layout/csr.h"
 
 namespace egraph {
 
-inline constexpr uint64_t kCompressedFileMagic = 0x313052504D434745ULL;  // "EGCMPR01"
+inline constexpr uint64_t kEgcmprMagic = 0x313052504D434745ULL;  // "EGCMPR01"
 
 struct CompressedFileHeader {
-  uint64_t magic = kCompressedFileMagic;
+  uint64_t magic = kEgcmprMagic;
   uint32_t num_vertices = 0;
   uint32_t flags = 0;
   uint64_t num_edges = 0;
@@ -49,38 +51,36 @@ struct CompressedFileHeader {
 };
 static_assert(sizeof(CompressedFileHeader) == 48);
 
-// Throws std::runtime_error if a file of `file_bytes` bytes cannot contain
-// the sections the header declares (overflow-safe), or if the header is
-// internally inconsistent (zero chunk_edges with nonzero edges, chunk count
-// not matching what the degrees could produce is caught later by Validate).
+// Throws std::runtime_error on a bad magic, or if a file of `file_bytes`
+// bytes cannot contain the sections the header declares (overflow-safe), or
+// if the header is internally inconsistent (zero chunk_edges with nonzero
+// edges). Table consistency is checked once the tables are read.
 void ValidateCompressedFileSize(const CompressedFileHeader& header, uint64_t file_bytes,
                                 const std::string& path);
 
 // Writes `compressed` to `path`. Throws std::runtime_error on I/O failure.
 void WriteCompressedCsr(const std::string& path, const CompressedCsr& compressed);
 
-// Reads a whole compressed graph and runs CompressedCsr::Validate on it —
-// corrupt tables or a corrupt stream throw instead of decoding garbage.
-CompressedCsr ReadCompressedCsr(const std::string& path);
+// Loads a whole compressed graph into a plain CSR whose neighbor lists are
+// sorted (the encoder sorts them). It is SelectiveCompressedLoader's
+// LoadRange(0, n): a corrupt header, table or stream throws instead of
+// decoding garbage.
+Csr ReadCompressedCsr(const std::string& path);
 
-// Reads just the header.
-CompressedFileHeader ReadCompressedFileHeader(const std::string& path);
-
-// A vertex range decoded by the selective loader: local CSR over vertices
-// [v_lo, v_hi), with offsets[i] indexing neighbors/weights for vertex
-// v_lo + i. `weights` is empty when the file has no weight stream.
+// A vertex range decoded by the selective loader: `csr` holds the lists of
+// vertices [v_lo, v_hi), row i being vertex v_lo + i. Neighbor ids stay
+// global, so csr.num_vertices() is the range size, not the graph's.
 struct DecodedRange {
   VertexId v_lo = 0;
   VertexId v_hi = 0;
-  std::vector<uint64_t> offsets;  // size (v_hi - v_lo) + 1
-  std::vector<VertexId> neighbors;
-  std::vector<float> weights;
+  Csr csr;
 };
 
-// ParaGrapher-style selective loader: opens the file once, keeps the chunk
-// tables resident (they are the cheap part), and decodes only the byte spans
-// the requested ranges cover. Decode is chunk-parallel — each chunk's output
-// slot is derived from the degrees prefix, so no sequential stitching.
+// ParaGrapher-style selective loader: opens the file once, reads and checks
+// the header and chunk tables (they are the cheap part), and decodes only
+// the byte spans the requested ranges cover. Decode is chunk-parallel — each
+// chunk's output slot is derived from the degrees prefix, so no sequential
+// stitching.
 //
 // Counters (obs registry): io.compressed.bytes_decoded accumulates the byte
 // spans actually read+decoded; io.compressed.bytes_skipped the rest of the
@@ -110,8 +110,10 @@ class SelectiveCompressedLoader {
   uint32_t Degree(VertexId v) const { return degrees_[v]; }
 
   // Decodes the adjacency of vertices [v_lo, v_hi). Reads exactly the byte
-  // span covering those vertices' chunks; decode errors (corrupt stream)
-  // throw. Thread-compatible, not thread-safe (the FILE* seek is shared).
+  // span covering those vertices' chunks; every varint is bounds-checked,
+  // every neighbor range-checked and every chunk must consume exactly its
+  // span, so a corrupt stream throws. Thread-compatible, not thread-safe
+  // (the FILE* seek is shared).
   DecodedRange LoadRange(VertexId v_lo, VertexId v_hi);
 
   // Splits [0, num_vertices) into `partitions` equal vertex ranges and

@@ -4,7 +4,6 @@
 #include <bit>
 #include <numeric>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "src/util/parallel.h"
@@ -114,113 +113,6 @@ CompressedCsr CompressedCsr::FromCsr(const Csr& csr, double* seconds,
     *seconds = timer.Seconds();
   }
   return out;
-}
-
-bool CompressedCsr::Validate(std::string* error) const {
-  auto fail = [error](const std::string& message) {
-    if (error != nullptr) {
-      *error = message;
-    }
-    return false;
-  };
-  const size_t n = num_vertices_;
-  if (chunk_edges_ == 0) {
-    return fail("chunk_edges is zero");
-  }
-  if (degrees_.size() != n || chunk_begin_.size() != n + 1) {
-    return fail("vertex table sizes do not match num_vertices");
-  }
-  if (chunk_begin_[0] != 0) {
-    return fail("chunk_begin does not start at zero");
-  }
-  const size_t num_chunks = n == 0 ? 0 : chunk_begin_[n];
-  if (chunk_bytes_.size() != num_chunks + 1) {
-    return fail("chunk_bytes size does not match chunk count");
-  }
-  if (chunk_bytes_[num_chunks] != bytes_.size()) {
-    return fail("chunk_bytes does not span the byte stream");
-  }
-  uint64_t edge_total = 0;
-  for (size_t v = 0; v < n; ++v) {
-    if (chunk_begin_[v] > chunk_begin_[v + 1]) {
-      return fail("chunk_begin is not monotone at vertex " + std::to_string(v));
-    }
-    const uint64_t chunks = chunk_begin_[v + 1] - chunk_begin_[v];
-    const uint64_t expected =
-        (static_cast<uint64_t>(degrees_[v]) + chunk_edges_ - 1) / chunk_edges_;
-    if (chunks != expected) {
-      return fail("chunk count disagrees with degree at vertex " + std::to_string(v));
-    }
-    edge_total += degrees_[v];
-  }
-  if (edge_total != num_edges_) {
-    return fail("degree sum does not equal num_edges");
-  }
-
-  // Owner per chunk for the parallel pass below — derived by one serial
-  // walk, never trusted from the input.
-  std::vector<VertexId> owner_of(num_chunks);
-  for (size_t v = 0; v < n; ++v) {
-    for (uint32_t c = chunk_begin_[v]; c < chunk_begin_[v + 1]; ++c) {
-      owner_of[c] = static_cast<VertexId>(v);
-    }
-  }
-
-  // Checked parallel decode: every chunk must consume exactly its byte span
-  // and produce exactly its entry count, with every neighbor in range.
-  std::vector<uint8_t> chunk_ok(num_chunks, 1);
-  ParallelFor(0, static_cast<int64_t>(num_chunks), [&](int64_t c) {
-    const size_t ci = static_cast<size_t>(c);
-    if (chunk_bytes_[ci] > chunk_bytes_[ci + 1] || chunk_bytes_[ci + 1] > bytes_.size()) {
-      chunk_ok[ci] = 0;
-      return;
-    }
-    const VertexId owner = owner_of[ci];
-    const uint32_t k = static_cast<uint32_t>(c - chunk_begin_[owner]);
-    const uint64_t consumed = static_cast<uint64_t>(k) * chunk_edges_;
-    const uint64_t size =
-        std::min<uint64_t>(chunk_edges_, degrees_[owner] - consumed);
-    const uint8_t* cursor = bytes_.data() + chunk_bytes_[ci];
-    const uint8_t* end = bytes_.data() + chunk_bytes_[ci + 1];
-    VertexId neighbor = 0;
-    for (uint64_t i = 0; i < size; ++i) {
-      uint64_t raw = 0;
-      if (!DecodeVarintChecked(cursor, end, &raw)) {
-        chunk_ok[ci] = 0;
-        return;
-      }
-      int64_t candidate;
-      if (i == 0) {
-        const int64_t delta =
-            static_cast<int64_t>(raw >> 1) ^ -static_cast<int64_t>(raw & 1);
-        candidate = static_cast<int64_t>(owner) + delta;
-      } else {
-        candidate = static_cast<int64_t>(neighbor) + static_cast<int64_t>(raw);
-      }
-      if (candidate < 0 || candidate >= static_cast<int64_t>(num_vertices_)) {
-        chunk_ok[ci] = 0;
-        return;
-      }
-      neighbor = static_cast<VertexId>(candidate);
-      if (has_weights_) {
-        uint64_t weight_bits = 0;
-        if (!DecodeVarintChecked(cursor, end, &weight_bits) ||
-            weight_bits > 0xFFFFFFFFULL) {
-          chunk_ok[ci] = 0;
-          return;
-        }
-      }
-    }
-    if (cursor != end) {
-      chunk_ok[ci] = 0;
-    }
-  });
-  for (size_t c = 0; c < num_chunks; ++c) {
-    if (!chunk_ok[c]) {
-      return fail("chunk " + std::to_string(c) + " failed checked decode");
-    }
-  }
-  return true;
 }
 
 }  // namespace egraph

@@ -1,36 +1,29 @@
-// Delta-compressed adjacency lists with chunked parallel decode (the
-// Ligra+/GBBS "compressed CSR" technique plus KaMinPar-style high-degree
-// neighborhood splitting): per-vertex neighbor lists are sorted,
-// delta-encoded and varint-packed, and every list is cut into fixed-size
-// chunks of at most chunk_edges() entries. Each chunk carries its own byte
-// offset and re-anchors its first neighbor against the owning vertex, so
-//   - a hub's adjacency decodes in parallel, chunk by chunk, and
-//   - the edge-balanced EdgeMap partitioner can split a hub's list across
-//     workers exactly like it splits a plain CSR slice, and
-//   - a selective loader can decompress any vertex range from disk without
-//     touching bytes outside it (the per-chunk offsets are the seek table).
+// Delta-compressed adjacency lists: the in-memory form of the EGCMPR01
+// storage format (src/io/compressed_io.h). Per-vertex neighbor lists are
+// sorted, delta-encoded and varint-packed, and every list is cut into
+// fixed-size chunks of at most chunk_edges() entries. Each chunk carries its
+// own byte offset and re-anchors its first neighbor against the owning
+// vertex, so a loader can decode the chunks in parallel and decompress any
+// vertex range from disk without touching bytes outside it (the per-chunk
+// offsets are the seek table). Kernels never run on this form: a load
+// decodes it into a plain CSR.
 //
 // Encoding per chunk of vertex v covering sorted neighbors n_a..n_b:
 //   zigzag-varint(n_a - v), then varint(n_i - n_{i-1}) for i in (a, b].
 // When the source CSR is weighted, each neighbor varint is followed by the
 // varint of its float weight's bit pattern (interleaved weight stream), so
-// weighted traversals see real weights instead of silently degrading to 1.0.
+// weights round-trip bit for bit.
 //
 // Only three tables are kept — per-vertex degrees (u32), per-vertex first
 // chunk index (u32), and the per-chunk byte seek table (u64). Everything
 // else (chunk owner, chunk size, edge offsets) is derived, which keeps the
 // metadata small enough that low-degree graphs still compress below the
-// plain CSR footprint. Kernels balance work by stream bytes rather than a
-// global edge prefix; bytes per edge are bounded (1..10), so byte balance
-// tracks edge balance closely.
+// plain CSR footprint.
 #ifndef SRC_LAYOUT_COMPRESSED_CSR_H_
 #define SRC_LAYOUT_COMPRESSED_CSR_H_
 
-#include <algorithm>
-#include <bit>
+#include <cstddef>
 #include <cstdint>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "src/graph/types.h"
@@ -64,181 +57,11 @@ class CompressedCsr {
     return num_vertices_ == 0 ? 0 : static_cast<int64_t>(chunk_begin_[num_vertices_]);
   }
 
-  uint32_t Degree(VertexId v) const { return degrees_[v]; }
-
-  // Chunk index range [ChunkBegin(v), ChunkEnd(v)) owned by vertex v.
-  int64_t ChunkBegin(VertexId v) const { return static_cast<int64_t>(chunk_begin_[v]); }
-  int64_t ChunkEnd(VertexId v) const {
-    return static_cast<int64_t>(chunk_begin_[static_cast<size_t>(v) + 1]);
-  }
-  uint32_t NumChunksOf(VertexId v) const {
-    return chunk_begin_[static_cast<size_t>(v) + 1] - chunk_begin_[v];
-  }
-
-  // Number of neighbor entries in v's k-th chunk: chunk_edges() for every
-  // chunk but possibly the last.
-  uint32_t ChunkSizeOf(VertexId v, uint32_t k) const {
-    const uint64_t consumed = static_cast<uint64_t>(k) * chunk_edges_;
-    return static_cast<uint32_t>(
-        std::min<uint64_t>(chunk_edges_, degrees_[v] - consumed));
-  }
-
-  // Byte offset of v's encoded adjacency within the stream — the exclusive
-  // byte prefix kernels balance over (ByteOffset(num_vertices()) is the
-  // stream size). Bytes per edge are bounded, so this tracks edge balance.
+  // Byte offset of v's encoded adjacency within the stream
+  // (ByteOffset(num_vertices()) is the stream size): the bytes a selective
+  // load of [v_lo, v_hi) reads are ByteOffset(v_hi) - ByteOffset(v_lo).
   uint64_t ByteOffset(VertexId v) const {
     return chunk_bytes_[static_cast<size_t>(chunk_begin_[v])];
-  }
-
-  // Byte offset of chunk c — the chunk-aligned cost prefix for scans that
-  // balance over chunks directly.
-  uint64_t ChunkByteOffset(int64_t c) const { return chunk_bytes_[static_cast<size_t>(c)]; }
-
-  // Owning vertex of chunk c, by binary search over the per-vertex chunk
-  // index table. O(log n) — positioning cost paid once per worker range,
-  // never per chunk (iteration walks forward from the first owner).
-  VertexId OwnerOf(int64_t c) const {
-    const auto it = std::upper_bound(chunk_begin_.begin(), chunk_begin_.end(),
-                                     static_cast<uint32_t>(c));
-    return static_cast<VertexId>(it - chunk_begin_.begin() - 1);
-  }
-
-  // Decodes every entry of v's k-th chunk, invoking fn(neighbor, weight);
-  // weight is 1.0f on unweighted graphs. Chunks decode independently — this
-  // is the unit of parallelism.
-  template <typename Fn>
-  void DecodeChunk(VertexId v, uint32_t k, Fn&& fn) const {
-    DecodeChunkSlice(v, k, 0, ChunkSizeOf(v, k), fn);
-  }
-
-  // Decodes v's k-th chunk until fn(neighbor, weight) returns false. Returns
-  // false iff fn stopped the decode (the pull kernel's per-chunk early exit).
-  template <typename Fn>
-  bool DecodeChunkWhile(VertexId v, uint32_t k, Fn&& fn) const {
-    const size_t c = static_cast<size_t>(chunk_begin_[v]) + k;
-    const uint8_t* cursor = bytes_.data() + chunk_bytes_[c];
-    const uint32_t size = ChunkSizeOf(v, k);
-    VertexId neighbor = 0;
-    for (uint32_t i = 0; i < size; ++i) {
-      if (i == 0) {
-        const uint64_t zigzag = DecodeVarint(cursor);
-        const int64_t delta =
-            static_cast<int64_t>(zigzag >> 1) ^ -static_cast<int64_t>(zigzag & 1);
-        neighbor = static_cast<VertexId>(static_cast<int64_t>(v) + delta);
-      } else {
-        neighbor += static_cast<VertexId>(DecodeVarint(cursor));
-      }
-      float weight = 1.0f;
-      if (has_weights_) {
-        weight = std::bit_cast<float>(static_cast<uint32_t>(DecodeVarint(cursor)));
-      }
-      if (!fn(neighbor, weight)) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  // Decodes entries [j_lo, j_hi) of v's k-th chunk (chunk-local positions),
-  // invoking fn(neighbor, weight). Entries before j_lo are delta-decoded but
-  // not reported — within one chunk that prefix is at most chunk_edges()
-  // entries, the bound that makes mid-list positioning cheap.
-  template <typename Fn>
-  void DecodeChunkSlice(VertexId v, uint32_t k, uint32_t j_lo, uint32_t j_hi,
-                        Fn&& fn) const {
-    if (j_lo >= j_hi) {
-      return;
-    }
-    const size_t c = static_cast<size_t>(chunk_begin_[v]) + k;
-    const uint8_t* cursor = bytes_.data() + chunk_bytes_[c];
-    VertexId neighbor = 0;
-    for (uint32_t i = 0; i < j_hi; ++i) {
-      if (i == 0) {
-        const uint64_t zigzag = DecodeVarint(cursor);
-        const int64_t delta =
-            static_cast<int64_t>(zigzag >> 1) ^ -static_cast<int64_t>(zigzag & 1);
-        neighbor = static_cast<VertexId>(static_cast<int64_t>(v) + delta);
-      } else {
-        neighbor += static_cast<VertexId>(DecodeVarint(cursor));
-      }
-      float weight = 1.0f;
-      if (has_weights_) {
-        weight = std::bit_cast<float>(static_cast<uint32_t>(DecodeVarint(cursor)));
-      }
-      if (i >= j_lo) {
-        fn(neighbor, weight);
-      }
-    }
-  }
-
-  // Decodes the neighbor sub-range [j_lo, j_hi) of v's full list (positions
-  // within the vertex, spanning chunks as needed), invoking
-  // fn(neighbor, weight). This is the hub-splitting entry point: the
-  // edge-balanced push kernel lands mid-list and pays at most one partial
-  // chunk of skipped decode, never a whole hub prefix.
-  template <typename Fn>
-  void ForEachNeighborSlice(VertexId v, uint64_t j_lo, uint64_t j_hi, Fn&& fn) const {
-    if (j_lo >= j_hi) {
-      return;
-    }
-    uint32_t k = static_cast<uint32_t>(j_lo / chunk_edges_);
-    uint32_t local_lo = static_cast<uint32_t>(j_lo % chunk_edges_);
-    uint64_t remaining = j_hi - j_lo;
-    while (remaining > 0) {
-      const uint32_t size = ChunkSizeOf(v, k);
-      const uint32_t take = static_cast<uint32_t>(
-          std::min<uint64_t>(static_cast<uint64_t>(size - local_lo), remaining));
-      DecodeChunkSlice(v, k, local_lo, local_lo + take, fn);
-      remaining -= take;
-      local_lo = 0;
-      ++k;
-    }
-  }
-
-  // Decodes v's neighbors with weights until fn(neighbor, weight) returns
-  // false; returns false iff fn stopped the decode. Chunks decode in order,
-  // so a stop mid-chunk leaves every later chunk untouched (the pull
-  // kernel's early exit).
-  template <typename Fn>
-  bool ForEachNeighborWhile(VertexId v, Fn&& fn) const {
-    const uint32_t chunks = NumChunksOf(v);
-    for (uint32_t k = 0; k < chunks; ++k) {
-      if (!DecodeChunkWhile(v, k, fn)) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  // Traversal-cost prefix for balanced partitioning: encoded bytes before v.
-  uint64_t CostPrefix(VertexId v) const { return ByteOffset(v); }
-
-  // Decodes v's neighbors in ascending order, invoking fn(neighbor).
-  template <typename Fn>
-  void ForEachNeighbor(VertexId v, Fn&& fn) const {
-    const uint32_t chunks = NumChunksOf(v);
-    for (uint32_t k = 0; k < chunks; ++k) {
-      DecodeChunk(v, k, [&fn](VertexId neighbor, float /*weight*/) { fn(neighbor); });
-    }
-  }
-
-  // Materializes v's neighbor list (testing convenience).
-  std::vector<VertexId> Neighbors(VertexId v) const {
-    std::vector<VertexId> out;
-    out.reserve(Degree(v));
-    ForEachNeighbor(v, [&out](VertexId n) { out.push_back(n); });
-    return out;
-  }
-
-  // Materializes v's weights aligned with Neighbors(v); empty if unweighted.
-  std::vector<float> NeighborWeights(VertexId v) const {
-    std::vector<float> out;
-    if (!has_weights_) {
-      return out;
-    }
-    out.reserve(Degree(v));
-    ForEachNeighborSlice(v, 0, Degree(v), [&out](VertexId, float w) { out.push_back(w); });
-    return out;
   }
 
   // Bytes held by the compressed structure (stream + all tables).
@@ -265,55 +88,16 @@ class CompressedCsr {
                : static_cast<double>(MemoryBytes()) / static_cast<double>(num_edges_);
   }
 
-  // Full structural check with bounds-checked varint decode: every chunk
-  // must decode exactly its entry count consuming exactly its byte span,
-  // every neighbor must be < num_vertices, and the tables must be mutually
-  // consistent. The file loader runs this on untrusted input so a corrupt
-  // stream fails cleanly instead of decoding garbage.
-  bool Validate(std::string* error = nullptr) const;
-
-  // Installs externally assembled tables (the file reader). Callers feed
-  // untrusted data through Validate() afterwards.
-  void Init(VertexId num_vertices, EdgeIndex num_edges, bool has_weights,
-            uint32_t chunk_edges, std::vector<uint32_t> degrees,
-            std::vector<uint32_t> chunk_begin, std::vector<uint64_t> chunk_bytes,
-            std::vector<uint8_t> bytes) {
-    num_vertices_ = num_vertices;
-    num_edges_ = num_edges;
-    has_weights_ = has_weights;
-    chunk_edges_ = chunk_edges == 0 ? kDefaultChunkEdges : chunk_edges;
-    degrees_ = std::move(degrees);
-    chunk_begin_ = std::move(chunk_begin);
-    chunk_bytes_ = std::move(chunk_bytes);
-    bytes_ = std::move(bytes);
-  }
-
   // Raw table access (persistence layer).
   const std::vector<uint32_t>& degrees() const { return degrees_; }
   const std::vector<uint32_t>& chunk_begin() const { return chunk_begin_; }
   const std::vector<uint64_t>& chunk_bytes() const { return chunk_bytes_; }
   const std::vector<uint8_t>& stream_bytes() const { return bytes_; }
 
-  // Bounded varint decode for trusted (validated) streams: the shift never
-  // reaches 64, so a corrupt continuation-bit run can never shift past the
-  // value width (which would be UB) or run the cursor away unbounded.
-  // Malformed input yields a garbage value, never undefined behavior —
-  // untrusted bytes go through DecodeVarintChecked instead.
-  static uint64_t DecodeVarint(const uint8_t*& cursor) {
-    uint64_t value = 0;
-    for (int shift = 0; shift < 64; shift += 7) {
-      const uint8_t byte = *cursor++;
-      value |= static_cast<uint64_t>(byte & 0x7F) << shift;
-      if ((byte & 0x80) == 0) {
-        break;
-      }
-    }
-    return value;
-  }
-
-  // Checked decode for untrusted bytes: fails (returns false) on truncation
-  // (cursor would pass `end`) or a varint longer than 10 bytes, instead of
-  // reading out of bounds. On success advances `cursor` past the varint.
+  // Checked varint decode for untrusted bytes (the file loader): fails
+  // (returns false) on truncation (cursor would pass `end`) or a varint
+  // longer than 10 bytes, instead of reading out of bounds or shifting past
+  // the value width. On success advances `cursor` past the varint.
   static bool DecodeVarintChecked(const uint8_t*& cursor, const uint8_t* end,
                                   uint64_t* value) {
     uint64_t out = 0;

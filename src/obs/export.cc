@@ -21,8 +21,6 @@ const char* LayoutString(Layout layout) {
       return "adjacency";
     case Layout::kGrid:
       return "grid";
-    case Layout::kCompressed:
-      return "compressed";
   }
   return "?";
 }

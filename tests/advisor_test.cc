@@ -93,10 +93,10 @@ TEST(Advisor, RationaleIsNonEmpty) {
   EXPECT_FALSE(rec.rationale.empty());
 }
 
-TEST(Advisor, MemoryBudgetDowngradesAdjacencyToCompressed) {
-  // Roadmap step 5: a plain-CSR recommendation that cannot fit the machine's
-  // memory budget downgrades to the compressed layout (same kernel contract,
-  // smaller resident set). Unconstrained (0) keeps plain adjacency.
+TEST(Advisor, MemoryBudgetFallsBackToEdgeArray) {
+  // Roadmap step 5: an adjacency recommendation whose CSR cannot fit the
+  // machine's memory budget falls back to the edge array, which builds
+  // nothing beyond the input. Unconstrained (0) keeps adjacency.
   MachineTraits unconstrained{4};
   EXPECT_EQ(Advise(TraitsBfs(), PowerLawStats(), unconstrained).layout,
             Layout::kAdjacency);
@@ -104,11 +104,12 @@ TEST(Advisor, MemoryBudgetDowngradesAdjacencyToCompressed) {
   MachineTraits tiny{4};
   tiny.memory_budget_bytes = 1 << 10;  // 1 KiB: no scale-12 CSR fits
   const Recommendation rec = Advise(TraitsBfs(), PowerLawStats(), tiny);
-  EXPECT_EQ(rec.layout, Layout::kCompressed);
+  EXPECT_EQ(rec.layout, Layout::kEdgeArray);
   EXPECT_EQ(rec.direction, Direction::kPush);
+  EXPECT_EQ(rec.sync, Sync::kAtomics);
   EXPECT_NE(rec.rationale.find("memory budget"), std::string::npos);
 
-  // A budget that comfortably fits the plain CSR does not downgrade.
+  // A budget that comfortably fits the CSR does not fall back.
   MachineTraits roomy{4};
   roomy.memory_budget_bytes = 1ULL << 40;
   EXPECT_EQ(Advise(TraitsBfs(), PowerLawStats(), roomy).layout, Layout::kAdjacency);
@@ -133,13 +134,13 @@ TEST(Advisor, WorkerCountNeverPicksAnotherLayout) {
   }
 }
 
-TEST(Advisor, MemoryBudgetCompressedPullStaysLockFree) {
-  // Lock removal (step 3) must still apply after the budget downgrade:
-  // pull over compressed adjacency has one writer per destination.
+TEST(Advisor, MemoryBudgetKeepsAlsOnAdjacencyPull) {
+  // ALS runs only on adjacency, so the budget never moves it; its pull stays
+  // lock-free (one writer per destination).
   MachineTraits tiny{2};
   tiny.memory_budget_bytes = 1 << 10;
   const Recommendation rec = Advise(TraitsAls(), PowerLawStats(), tiny);
-  EXPECT_EQ(rec.layout, Layout::kCompressed);
+  EXPECT_EQ(rec.layout, Layout::kAdjacency);
   EXPECT_EQ(rec.direction, Direction::kPull);
   EXPECT_EQ(rec.sync, Sync::kLockFree);
 }

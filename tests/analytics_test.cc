@@ -1,14 +1,19 @@
-// Analytics tests: clustering coefficient and diameter estimation, plus the
-// compressed-CSR EdgeMap integration.
+// Analytics tests: clustering coefficient and diameter estimation, plus
+// EdgeMap over a CSR decoded from the EGCMPR01 storage format.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
 #include <set>
+#include <string>
 
 #include "src/algos/analytics.h"
 #include "src/algos/reference.h"
 #include "src/engine/edge_map.h"
 #include "src/gen/rmat.h"
 #include "src/gen/road.h"
+#include "src/io/compressed_io.h"
+#include "src/layout/compressed_csr.h"
 #include "src/layout/csr_builder.h"
 #include "src/util/atomics.h"
 
@@ -84,7 +89,7 @@ TEST(Diameter, EmptyAndSingleton) {
   EXPECT_EQ(EstimateDiameter(singleton), 0u);
 }
 
-// --- Compressed-CSR EdgeMap -------------------------------------------------
+// --- EdgeMap over a decoded EGCMPR01 file --------------------------------
 
 struct ReachFunctor {
   uint8_t* visited;
@@ -101,12 +106,23 @@ struct ReachFunctor {
   bool Cond(VertexId d) const { return AtomicLoad(&visited[d]) == 0; }
 };
 
+// The compressed format is storage only: a graph written as EGCMPR01 and
+// loaded back is a plain CSR (neighbor lists sorted), and EdgeMap over it
+// must reach exactly what it reaches over the CSR built from the edge list.
 TEST(EdgeMapCompressed, BfsReachabilityMatchesPlainCsr) {
   RmatOptions options;
   options.scale = 10;
   const EdgeList graph = GenerateRmat(options);
   const Csr out = BuildCsr(graph, EdgeDirection::kOut, BuildMethod::kRadixSort);
-  const CompressedCsr compressed = CompressedCsr::FromCsr(out);
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("egraph_analytics_test_" + std::to_string(::getpid()) + ".egc"))
+          .string();
+  WriteCompressedCsr(path, CompressedCsr::FromCsr(out));
+  const Csr decoded = ReadCompressedCsr(path);
+  std::filesystem::remove(path);
+  ASSERT_EQ(decoded.num_vertices(), out.num_vertices());
+  ASSERT_EQ(decoded.num_edges(), out.num_edges());
   StripedLocks locks;
 
   const auto reach = [&](auto&& step) {
@@ -134,10 +150,10 @@ TEST(EdgeMapCompressed, BfsReachabilityMatchesPlainCsr) {
     return EdgeMapCsrPush(out, f, fn, atomics);
   });
   const auto packed = reach([&](Frontier& f, ReachFunctor& fn) {
-    return EdgeMapCsrPush(compressed, f, fn, atomics);
+    return EdgeMapCsrPush(decoded, f, fn, atomics);
   });
   const auto packed_locks = reach([&](Frontier& f, ReachFunctor& fn) {
-    return EdgeMapCsrPush(compressed, f, fn, striped);
+    return EdgeMapCsrPush(decoded, f, fn, striped);
   });
   EXPECT_EQ(packed, plain);
   EXPECT_EQ(packed_locks, plain);

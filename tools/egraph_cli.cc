@@ -11,7 +11,7 @@
 //             [--layout=...] [--direction=...] [--sync=...] [--balance=...]
 //             FILE
 //   run       --algo=bfs|wcc|sssp|pagerank|spmv|kcore|triangles
-//             [--layout=adjacency|compressed|edge-array|grid]
+//             [--layout=adjacency|edge-array|grid]
 //             [--direction=push|pull|push-pull] [--sync=atomics|locks|lock-free]
 //             [--balance=vertex|edge]
 //             [--method=radix|count|dynamic] [--source=V] [--iterations=N]
@@ -101,9 +101,6 @@ int Usage() {
 Layout ParseLayout(const std::string& name) {
   if (name == "adjacency") {
     return Layout::kAdjacency;
-  }
-  if (name == "compressed") {
-    return Layout::kCompressed;
   }
   if (name == "edge-array") {
     return Layout::kEdgeArray;
@@ -385,8 +382,7 @@ int CmdRun(const Flags& flags) {
   std::string summary;
   char buffer[128];
 
-  if (algo == "wcc" &&
-      (config.layout == Layout::kAdjacency || config.layout == Layout::kCompressed)) {
+  if (algo == "wcc" && config.layout == Layout::kAdjacency) {
     graph = graph.MakeUndirected();
     config.symmetric_input = true;
   }
